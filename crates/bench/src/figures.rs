@@ -10,25 +10,25 @@ use crate::cli::{Cli, FigureOutput};
 use crate::table::format_table;
 use mav_compute::{table1_profile, ApplicationId, KernelId, OperatingPoint};
 use mav_core::experiments::{
-    cloud_offload_study_with, exec_model_scenario, exec_model_sweep_with, format_heatmap,
-    noise_reliability_study_with, operating_point_sweep_with, perception_rate_sweep_with,
-    replan_mode_sweep_with, replan_scenario, resolution_study_with, CloudComparison, HeatmapCell,
+    cloud_offload_study, exec_model_scenario, format_heatmap, noise_reliability_study,
+    operating_point_sweep, perception_rate_sweep, replan_mode_sweep, replan_scenario,
+    resolution_study, CloudComparison, HeatmapCell,
 };
 use mav_core::microbench::{hover_endurance_minutes, slam_fps_sweep, SlamMicrobenchConfig};
 use mav_core::reliability::{
-    reliability_fault_grid_with, reliability_rate_grid_with, reliability_sweep_classified,
+    reliability_fault_grid_with, reliability_rate_grid_with, reliability_sweep_classified_observed,
     ScenarioGenerator, DEFAULT_SHARD_SIZE,
 };
 use mav_core::velocity::velocity_vs_process_time;
 use mav_energy::{
     commercial_mav_catalog, ComputePowerModel, EnergyAccount, FlightPhaseLabel, RotorPowerModel,
-    WingType,
+    WingType, OTHER_ELECTRONICS_WATTS,
 };
-use mav_types::{Json, Power, SimDuration, SimTime, ToJson, Vec3};
+use mav_types::{Json, Power, SimDuration, ToJson, Vec3};
 
 /// Shared driver for the Figs. 10–14 operating-point heat maps.
 pub fn heatmap_figure(application: ApplicationId, seed: u64, cli: &Cli) -> FigureOutput {
-    let cells = operating_point_sweep_with(&cli.runner(), application, |cfg| {
+    let cells = operating_point_sweep(&cli.runner(), application, |cfg| {
         cli.scale(cfg).with_seed(seed)
     });
     let mut text = format!("== {application} — operating-point sweep ==\n");
@@ -250,7 +250,7 @@ pub fn fig08b_slam_fps(cli: &Cli) -> FigureOutput {
     } else {
         &[30.0, 10.0, 5.0, 2.0, 1.0]
     };
-    let closed_loop = perception_rate_sweep_with(
+    let closed_loop = perception_rate_sweep(
         &cli.runner(),
         rates,
         mav_core::experiments::rate_sweep_scenario,
@@ -296,7 +296,6 @@ fn power_trace(cruise: f64) -> EnergyAccount {
     let compute = ComputePowerModel::tx2().power(4, 2.2);
     let mut acc = EnergyAccount::new();
     let dt = SimDuration::from_millis(200.0);
-    let mut t = SimTime::ZERO;
     let phases: &[(f64, FlightPhaseLabel, Vec3)] = &[
         (5.0, FlightPhaseLabel::Arming, Vec3::ZERO),
         (10.0, FlightPhaseLabel::Hovering, Vec3::ZERO),
@@ -311,8 +310,7 @@ fn power_trace(cruise: f64) -> EnergyAccount {
             } else {
                 rotor.power(velocity, &Vec3::ZERO, &Vec3::ZERO)
             };
-            acc.record(t, dt, rotor_p, compute, *phase);
-            t += dt;
+            acc.record(dt, rotor_p, compute, *phase);
         }
     }
     acc
@@ -330,7 +328,10 @@ pub fn fig09_power_breakdown(_cli: &Cli) -> FigureOutput {
             "compute platform (TX2)".to_string(),
             format!("{compute_w:.1}"),
         ],
-        vec!["other electronics".to_string(), format!("{:.1}", 2.0)],
+        vec![
+            "other electronics".to_string(),
+            format!("{OTHER_ELECTRONICS_WATTS:.1}"),
+        ],
     ];
     text.push_str(&format_table(&["subsystem", "power (W)"], &rows));
     text.push_str(&format!(
@@ -408,7 +409,7 @@ pub fn fig11_package_delivery(cli: &Cli) -> FigureOutput {
     // comparison row pins its own ReplanMode (that is the point of the
     // section); a `--replan-mode` flag applies to the heat-map missions
     // above, not to these rows.
-    let replan = replan_mode_sweep_with(&cli.runner(), replan_scenario);
+    let replan = replan_mode_sweep(&cli.runner(), replan_scenario);
     let mut text = heatmap.text;
     text.push_str("\n-- in-flight replanning: hover-to-plan vs plan-in-motion --\n");
     let rows: Vec<Vec<String>> = replan
@@ -533,7 +534,7 @@ pub fn fig15_kernel_breakdown(_cli: &Cli) -> FigureOutput {
 
 /// Fig. 16 — fully-on-edge vs sensor-cloud 3D Mapping.
 pub fn fig16_cloud_offload(cli: &Cli) -> FigureOutput {
-    let cmp = cloud_offload_study_with(&cli.runner(), |cfg| cli.scale(cfg).with_seed(4));
+    let cmp = cloud_offload_study(&cli.runner(), |cfg| cli.scale(cfg).with_seed(4));
     let row = |label: &str, report: &mav_core::MissionReport| {
         vec![
             label.to_string(),
@@ -712,7 +713,7 @@ pub fn fig19_dynamic_resolution(cli: &Cli) -> FigureOutput {
         ApplicationId::PackageDelivery,
     ] {
         text.push_str(&format!("\n-- {app} --\n"));
-        let study = resolution_study_with(&cli.runner(), app, |cfg| cli.scale(cfg).with_seed(13));
+        let study = resolution_study(&cli.runner(), app, |cfg| cli.scale(cfg).with_seed(13));
         let rows: Vec<Vec<String>> = study
             .iter()
             .map(|row| {
@@ -758,7 +759,7 @@ pub fn fig19_dynamic_resolution(cli: &Cli) -> FigureOutput {
 /// lowered Eq. 2 velocity cap — so their delta isolates what keeping the
 /// planner on the big cluster buys in hover time.
 pub fn exec_model_sweep(cli: &Cli) -> FigureOutput {
-    let rows_data = exec_model_sweep_with(&cli.runner(), |cfg| {
+    let rows_data = mav_core::experiments::exec_model_sweep(&cli.runner(), |cfg| {
         // The grid pins its own exec model and node ops per row (that is the
         // point of the figure); --fast/--rates/--replan-mode still apply.
         exec_model_scenario(cli.scale(cfg))
@@ -871,10 +872,9 @@ pub fn table1_kernel_profile(_cli: &Cli) -> FigureOutput {
 /// Table II — impact of depth-image noise on Package Delivery reliability.
 pub fn table2_noise_reliability(cli: &Cli) -> FigureOutput {
     let runs = if cli.fast { 3 } else { 5 };
-    let rows_data =
-        noise_reliability_study_with(&cli.runner(), &[0.0, 0.5, 1.0, 1.5], runs, |cfg| {
-            cli.scale(cfg).with_seed(21)
-        });
+    let rows_data = noise_reliability_study(&cli.runner(), &[0.0, 0.5, 1.0, 1.5], runs, |cfg| {
+        cli.scale(cfg).with_seed(21)
+    });
     let rows: Vec<Vec<String>> = rows_data
         .iter()
         .map(|row| {
@@ -934,8 +934,13 @@ pub fn reliability_sweep(cli: &Cli) -> FigureOutput {
     // reliability statistics are computed from simulated-clock outcomes.
     #[allow(clippy::disallowed_methods)]
     let started = std::time::Instant::now();
-    let (stats, classes) =
-        reliability_sweep_classified(&runner, &generator, episodes, DEFAULT_SHARD_SIZE);
+    let (stats, classes) = reliability_sweep_classified_observed(
+        &runner,
+        &generator,
+        episodes,
+        DEFAULT_SHARD_SIZE,
+        &|_| {},
+    );
     let wall_secs = started.elapsed().as_secs_f64();
     let episodes_per_sec = episodes as f64 / wall_secs.max(1e-9);
     let grid = reliability_rate_grid_with(

@@ -108,7 +108,7 @@ impl Node<FlightCtx<'_>> for SubjectFollowNode {
             .iter()
             .map(|&k| {
                 let op = ctx.mission.node_op_for_kernel(k);
-                (k, ctx.mission.charge_kernel_at(k, op))
+                (k, ctx.mission.charge_kernel(k, op))
             })
             .collect();
         // The tracker and PID must integrate over the real time between

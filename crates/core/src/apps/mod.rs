@@ -34,15 +34,15 @@ use std::rc::Rc;
 /// println!("{report}");
 /// ```
 pub fn run_mission(config: MissionConfig) -> MissionReport {
-    dispatch(config, None)
+    run_mission_with_scratch(config, &mut EpisodeScratch::new())
 }
 
 /// [`run_mission`] with cross-episode scratch reuse: the occupancy map, the
 /// point-cloud buffers and (for a repeated environment configuration) the
 /// generated world are recycled from `scratch` instead of reallocated, and
-/// deposited back when the mission finishes. Bit-identical to
-/// [`run_mission`] — reuse recycles allocations, never state — which the
-/// integration tests pin with full-report equality.
+/// deposited back when the mission finishes. A warm scratch is
+/// bit-identical to a cold one — reuse recycles allocations, never state —
+/// which the tests pin with full-report equality.
 ///
 /// This is the per-episode engine of the Monte-Carlo reliability sweep: each
 /// sweep worker holds one `EpisodeScratch` and folds its shard of episodes
@@ -52,16 +52,8 @@ pub fn run_mission_with_scratch(
     scratch: &mut EpisodeScratch,
 ) -> MissionReport {
     let slot = Rc::new(RefCell::new(std::mem::take(scratch)));
-    let report = dispatch(config, Some(Rc::clone(&slot)));
-    if let Ok(cell) = Rc::try_unwrap(slot) {
-        *scratch = cell.into_inner();
-    }
-    report
-}
-
-fn dispatch(config: MissionConfig, scratch: Option<Rc<RefCell<EpisodeScratch>>>) -> MissionReport {
     let application = config.application;
-    match MissionContext::with_scratch_slot(config, scratch) {
+    let report = match MissionContext::with_scratch_slot(config, Rc::clone(&slot)) {
         Ok(ctx) => match application {
             ApplicationId::Scanning => scanning::run(ctx),
             ApplicationId::AerialPhotography => aerial_photography::run(ctx),
@@ -70,7 +62,11 @@ fn dispatch(config: MissionConfig, scratch: Option<Rc<RefCell<EpisodeScratch>>>)
             ApplicationId::SearchAndRescue => search_rescue::run(ctx),
         },
         Err(reason) => invalid_config_report(application, reason),
+    };
+    if let Ok(cell) = Rc::try_unwrap(slot) {
+        *scratch = cell.into_inner();
     }
+    report
 }
 
 fn invalid_config_report(application: ApplicationId, reason: String) -> MissionReport {
@@ -109,7 +105,7 @@ mod tests {
         // One scratch carried across every application and two different
         // world shapes: the map is reshaped, the world cache misses and
         // re-fills, the cloud buffers are reused — and every report must
-        // equal the allocating run_mission's, field for field.
+        // equal the cold-scratch run_mission's, field for field.
         let mut scratch = EpisodeScratch::new();
         for &app in ApplicationId::all() {
             for (seed, extent) in [(3u64, 18.0), (5u64, 24.0)] {

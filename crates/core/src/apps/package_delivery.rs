@@ -55,7 +55,7 @@ pub fn fly_leg(ctx: &mut MissionContext, goal: Vec3) -> Result<(), MissionFailur
         }
         // Perception: refresh the map before planning.
         let frame = ctx.capture_depth();
-        let perception_latency = ctx.update_map(&frame);
+        let perception_latency = ctx.update_map(&frame).iter().map(|&(_, l)| l).sum();
         ctx.hover(perception_latency);
 
         // Planning: shortest path + smoothing while hovering.

@@ -39,7 +39,7 @@ pub fn run(mut ctx: MissionContext) -> MissionReport {
         // decision stays "any person seen this frame" — identical to the
         // historical single-detection path, which drew the same detector RNG.
         let op = ctx.node_op_for_kernel(KernelId::ObjectDetection);
-        let latency = ctx.charge_kernel_at(KernelId::ObjectDetection, op);
+        let latency = ctx.charge_kernel(KernelId::ObjectDetection, op);
         ctx.hover(latency);
         let pose = ctx.pose();
         let people: Vec<_> = detector

@@ -931,12 +931,6 @@ pub struct MissionConfig {
     /// [`NodeOpConfig::mission_global`], charges every node at
     /// [`MissionConfig::operating_point`].
     pub node_ops: NodeOpConfig,
-    /// Worker threads for OctoMap scan insertion (PR 6). `1` (the default)
-    /// takes the serial path; higher values partition each scan's per-voxel
-    /// delta map across threads. Every setting produces a bit-identical map
-    /// (the parallel path is pinned to the serial one), so this is purely a
-    /// wall-clock knob for multi-core hosts.
-    pub map_insert_threads: usize,
     /// Seeded fault intensities for this mission (PR 9). The default,
     /// [`FaultPlan::none`], compiles to no injector at all, leaving every
     /// historical code path untouched.
@@ -978,7 +972,6 @@ impl MissionConfig {
             replan_mode: ReplanMode::default(),
             exec_model: ExecModel::default(),
             node_ops: NodeOpConfig::mission_global(),
-            map_insert_threads: 1,
             fault_plan: FaultPlan::none(),
             degradation: DegradationConfig::off(),
             seed: 42,
@@ -1040,12 +1033,6 @@ impl MissionConfig {
         self
     }
 
-    /// Overrides the OctoMap insertion worker count (builder style).
-    pub fn with_map_insert_threads(mut self, threads: usize) -> Self {
-        self.map_insert_threads = threads;
-        self
-    }
-
     /// Overrides the fault plan (builder style).
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = plan;
@@ -1100,9 +1087,6 @@ impl MissionConfig {
         if self.depth_noise_std < 0.0 {
             return Err("depth noise std cannot be negative".to_string());
         }
-        if self.map_insert_threads == 0 {
-            return Err("map_insert_threads must be at least 1".to_string());
-        }
         self.rates.validate()?;
         self.node_ops.validate()?;
         self.fault_plan.validate()?;
@@ -1139,7 +1123,6 @@ impl ToJson for MissionConfig {
             .field("replan_mode", self.replan_mode.to_json())
             .field("exec_model", self.exec_model.to_json())
             .field("node_ops", self.node_ops.to_json())
-            .field("map_insert_threads", self.map_insert_threads)
             .field("fault_plan", self.fault_plan.to_json())
             .field("degradation", self.degradation.to_json())
             .field("seed", self.seed)
@@ -1171,7 +1154,6 @@ impl FromJson for MissionConfig {
             "replan_mode",
             "exec_model",
             "node_ops",
-            "map_insert_threads",
             "fault_plan",
             "degradation",
             "seed",
@@ -1196,8 +1178,6 @@ impl FromJson for MissionConfig {
             replan_mode: json.parse_field_or("replan_mode", base.replan_mode)?,
             exec_model: json.parse_field_or("exec_model", base.exec_model)?,
             node_ops: json.parse_field_or("node_ops", base.node_ops)?,
-            map_insert_threads: json
-                .parse_field_or("map_insert_threads", base.map_insert_threads)?,
             fault_plan: json.parse_field_or("fault_plan", base.fault_plan)?,
             degradation: json.parse_field_or("degradation", base.degradation)?,
             seed: base.seed,
@@ -1376,12 +1356,6 @@ impl MissionConfigBuilder {
     pub fn node_ops_spec(mut self, spec: &str) -> Result<Self, String> {
         self.config.node_ops = NodeOpConfig::parse(spec)?;
         Ok(self)
-    }
-
-    /// Sets the OctoMap insertion worker count.
-    pub fn map_insert_threads(mut self, threads: usize) -> Self {
-        self.config.map_insert_threads = threads;
-        self
     }
 
     /// Sets the fault plan.

@@ -25,7 +25,10 @@ use crate::scratch::{CloudScratch, EpisodeScratch};
 use crate::velocity::max_safe_velocity;
 use mav_compute::{ComputePlatform, KernelId, OperatingPoint};
 use mav_dynamics::Quadrotor;
-use mav_energy::{Battery, ComputePowerModel, EnergyAccount, FlightPhaseLabel, RotorPowerModel};
+use mav_energy::{
+    Battery, ComputePowerModel, EnergyAccount, FlightPhaseLabel, RotorPowerModel,
+    OTHER_ELECTRONICS_WATTS,
+};
 use mav_env::World;
 use mav_perception::{OctoMap, OctoMapConfig};
 use mav_planning::{CollisionChecker, PlannerConfig, PlannerKind, ShortestPathPlanner};
@@ -86,7 +89,7 @@ pub struct MissionContext {
     tracking_error_samples: u32,
     mapped_volume: f64,
     clouds: CloudScratch,
-    scratch: Option<Rc<RefCell<EpisodeScratch>>>,
+    scratch: Rc<RefCell<EpisodeScratch>>,
     /// Compiled fault injector; `None` for the default empty plan, keeping
     /// every historical code path structurally untouched.
     faults: Option<FaultInjector>,
@@ -101,26 +104,22 @@ impl MissionContext {
     ///
     /// Returns a descriptive message when the configuration is invalid.
     pub fn new(config: MissionConfig) -> Result<Self, String> {
-        Self::with_scratch_slot(config, None)
+        Self::with_scratch_slot(config, Rc::default())
     }
 
-    /// [`MissionContext::new`], optionally sourcing the world, occupancy map
-    /// and point-cloud buffers from an [`EpisodeScratch`] slot. The finished
+    /// [`MissionContext::new`] sourcing the world, occupancy map and
+    /// point-cloud buffers from an [`EpisodeScratch`] slot. The finished
     /// mission deposits its reusable state back into the slot in
-    /// [`MissionContext::finish`]. Construction with a slot is bit-identical
-    /// to construction without one: the scratch only recycles allocations,
-    /// never state.
+    /// [`MissionContext::finish`]. A warm slot is bit-identical to a cold
+    /// one: the scratch only recycles allocations, never state.
     pub(crate) fn with_scratch_slot(
         config: MissionConfig,
-        scratch: Option<Rc<RefCell<EpisodeScratch>>>,
+        scratch: Rc<RefCell<EpisodeScratch>>,
     ) -> Result<Self, String> {
         config.validate()?;
-        let (world, clouds) = match &scratch {
-            Some(slot) => {
-                let mut s = slot.borrow_mut();
-                (s.world_for(&config.environment), s.take_clouds())
-            }
-            None => (config.environment.generate(), CloudScratch::default()),
+        let (world, clouds) = {
+            let mut s = scratch.borrow_mut();
+            (s.world_for(&config.environment), s.take_clouds())
         };
         let start = Pose::new(Vec3::new(0.0, 0.0, config.quadrotor.cruise_altitude), 0.0);
         let quad = Quadrotor::new(config.quadrotor.clone(), start);
@@ -147,12 +146,9 @@ impl MissionContext {
         };
         let resolution = config.resolution_policy.initial_resolution();
         let half_extent = config.environment.extent.max(config.environment.height) + 5.0;
-        let map = match &scratch {
-            Some(slot) => slot
-                .borrow_mut()
-                .map_for(OctoMapConfig::with_resolution(resolution), half_extent),
-            None => OctoMap::new(OctoMapConfig::with_resolution(resolution), half_extent),
-        };
+        let map = scratch
+            .borrow_mut()
+            .map_for(OctoMapConfig::with_resolution(resolution), half_extent);
         let camera = DepthCamera::new(config.camera);
         let depth_noise = DepthNoiseModel::new(config.depth_noise_std, config.seed);
         Ok(MissionContext {
@@ -253,22 +249,12 @@ impl MissionContext {
 
     /// Latency of one invocation of `kernel`, with the OctoMap-resolution cost
     /// multiplier applied to the map-update kernel, charged to the kernel
-    /// timer. The caller decides whether the vehicle hovers or flies while the
+    /// timer. The edge latency is priced at the per-node operating point `op`;
+    /// `None` charges at the mission-global point. This is how a flight-graph
+    /// node carrying its own core/frequency setting turns it into charged
+    /// time. The caller decides whether the vehicle hovers or flies while the
     /// kernel runs.
-    pub fn charge_kernel(&mut self, kernel: KernelId) -> SimDuration {
-        self.charge_kernel_at(kernel, None)
-    }
-
-    /// [`MissionContext::charge_kernel`] with the edge latency pinned to a
-    /// per-node operating point (PR 5): `None` charges at the mission-global
-    /// point, bit-identically to the historical accounting. This is how a
-    /// flight-graph node carrying its own core/frequency setting turns it
-    /// into charged time.
-    pub fn charge_kernel_at(
-        &mut self,
-        kernel: KernelId,
-        op: Option<OperatingPoint>,
-    ) -> SimDuration {
+    pub fn charge_kernel(&mut self, kernel: KernelId, op: Option<OperatingPoint>) -> SimDuration {
         let mut latency = match op {
             None => self.platform.kernel_latency(kernel),
             Some(point) => self.platform.kernel_latency_at(kernel, &point),
@@ -286,20 +272,6 @@ impl MissionContext {
         }
         self.timer.record(kernel, latency);
         latency
-    }
-
-    /// Total latency of a set of kernels, each charged to the timer.
-    pub fn charge_kernels(&mut self, kernels: &[KernelId]) -> SimDuration {
-        kernels.iter().map(|k| self.charge_kernel(*k)).sum()
-    }
-
-    /// [`MissionContext::charge_kernels`] at a per-node operating point.
-    pub fn charge_kernels_at(
-        &mut self,
-        kernels: &[KernelId],
-        op: Option<OperatingPoint>,
-    ) -> SimDuration {
-        kernels.iter().map(|k| self.charge_kernel_at(*k, op)).sum()
     }
 
     /// The per-node operating point charged for `kernel` under the current
@@ -446,10 +418,9 @@ impl MissionContext {
                 FlightPhaseLabel::Flying
             };
             let step_d = SimDuration::from_secs(step);
-            self.energy
-                .record(self.clock.now(), step_d, rotor, compute, phase);
-            self.battery
-                .discharge(rotor + compute + mav_types::Power::from_watts(2.0), step_d);
+            self.energy.record(step_d, rotor, compute, phase);
+            let other = mav_types::Power::from_watts(OTHER_ELECTRONICS_WATTS);
+            self.battery.discharge(rotor + compute + other, step_d);
             self.distance += state.twist.linear.norm() * step;
             if hovering {
                 self.hover_time += step_d;
@@ -477,7 +448,7 @@ impl MissionContext {
             .iter()
             .map(|&k| {
                 let op = self.node_op_for_kernel(k);
-                self.charge_kernel_at(k, op)
+                self.charge_kernel(k, op)
             })
             .sum();
         self.hover(latency);
@@ -543,33 +514,13 @@ impl MissionContext {
 
     /// Integrates a depth frame into the occupancy map: point-cloud
     /// generation, optional dynamic-resolution switch, and the OctoMap update.
-    /// Returns the combined simulated latency of the perception kernels
-    /// (charged to the timer, not yet to the clock). Priced at the mapping
-    /// node's operating point when one is configured, so the applications'
-    /// pre-planning map refreshes agree with the flight graph's accounting.
-    pub fn update_map(&mut self, frame: &DepthImage) -> SimDuration {
+    /// Returns the per-kernel latency breakdown of the perception batch
+    /// (charged to the timer, not yet to the clock), which is what the
+    /// [`crate::flight::OctoMapNode`] reports to the executor. Priced at the
+    /// mapping node's operating point, so the applications' pre-planning map
+    /// refreshes agree with the flight graph's accounting.
+    pub fn update_map(&mut self, frame: &DepthImage) -> Vec<(KernelId, SimDuration)> {
         let op = self.config.node_ops.mapping;
-        self.update_map_detailed_at(frame, op)
-            .iter()
-            .map(|(_, latency)| *latency)
-            .sum()
-    }
-
-    /// [`MissionContext::update_map`] with the per-kernel latency breakdown —
-    /// what the [`crate::flight::OctoMapNode`] reports to the executor.
-    pub fn update_map_detailed(&mut self, frame: &DepthImage) -> Vec<(KernelId, SimDuration)> {
-        self.update_map_detailed_at(frame, None)
-    }
-
-    /// [`MissionContext::update_map_detailed`] with the perception batch
-    /// priced at a per-node operating point (the OctoMap node's own
-    /// core/frequency setting); `None` charges at the mission-global point,
-    /// bit-identically to the historical accounting.
-    pub fn update_map_detailed_at(
-        &mut self,
-        frame: &DepthImage,
-        op: Option<OperatingPoint>,
-    ) -> Vec<(KernelId, SimDuration)> {
         // Dynamic resolution policy: sample the local obstacle density and
         // switch the map resolution when the policy asks for it.
         let density = self.world.obstacle_density_near(&self.pose().position, 8.0);
@@ -588,7 +539,7 @@ impl MissionContext {
             KernelId::Localization,
         ]
         .iter()
-        .map(|&kernel| (kernel, self.charge_kernel_at(kernel, op)))
+        .map(|&kernel| (kernel, self.charge_kernel(kernel, op)))
         .collect();
         let CloudScratch {
             raw,
@@ -597,14 +548,7 @@ impl MissionContext {
         } = &mut self.clouds;
         raw.fill_from_depth_image(frame);
         raw.downsample_into(self.current_resolution, cells, downsampled);
-        // Bit-identical either way (the parallel path is pinned to the serial
-        // one); > 1 only changes who does the work.
-        if self.config.map_insert_threads > 1 {
-            self.map
-                .insert_point_cloud_parallel(downsampled, self.config.map_insert_threads);
-        } else {
-            self.map.insert_point_cloud(downsampled);
-        }
+        self.map.insert_point_cloud(downsampled);
         self.mapped_volume = self.map.mapped_volume();
         kernel_time
     }
@@ -694,10 +638,7 @@ impl MissionContext {
         }
         exec.add_node(energy);
         exec.add_node(DepthCameraNode::new(frames.clone(), rates.camera_period()));
-        exec.add_node(
-            OctoMapNode::new(frames.clone(), rates.mapping_period())
-                .with_operating_point(node_ops.mapping),
-        );
+        exec.add_node(OctoMapNode::new(frames.clone(), rates.mapping_period()));
         let mut tracker_node = PathTrackerNode::new(
             plan.clone(),
             timeline,
@@ -769,24 +710,16 @@ impl MissionContext {
     }
 
     /// Finalises the mission into a report, depositing the reusable map and
-    /// cloud buffers back into the episode scratch when one was attached.
+    /// cloud buffers back into the episode scratch.
     pub fn finish(mut self, failure: Option<MissionFailure>) -> MissionReport {
         let velocity_cap = self.velocity_cap();
-        if let Some(slot) = self.scratch.take() {
-            let map = std::mem::replace(
-                &mut self.map,
-                OctoMap::new(OctoMapConfig::with_resolution(1.0), 1.0),
-            );
-            let clouds = std::mem::take(&mut self.clouds);
-            slot.borrow_mut().deposit(map, clouds);
-        }
         let tracking_error = if self.tracking_error_samples > 0 {
             self.tracking_error_sum / self.tracking_error_samples as f64
         } else {
             0.0
         };
         let degraded = self.degraded_summary(failure.is_some());
-        MissionReport::from_counters(
+        let report = MissionReport::from_counters(
             self.config.application,
             self.config.operating_point,
             failure,
@@ -802,7 +735,9 @@ impl MissionContext {
             tracking_error,
             self.timer.clone(),
             degraded,
-        )
+        );
+        self.scratch.borrow_mut().deposit(self.map, self.clouds);
+        report
     }
 }
 
@@ -859,8 +794,8 @@ mod tests {
                 .with_operating_point(OperatingPoint::slowest()),
         )
         .unwrap();
-        let lf = fast.charge_kernel(KernelId::OctomapGeneration);
-        let ls = slow.charge_kernel(KernelId::OctomapGeneration);
+        let lf = fast.charge_kernel(KernelId::OctomapGeneration, None);
+        let ls = slow.charge_kernel(KernelId::OctomapGeneration, None);
         assert!(ls > lf);
         assert_eq!(fast.timer.invocations(KernelId::OctomapGeneration), 1);
     }
@@ -892,8 +827,8 @@ mod tests {
     fn depth_capture_and_map_update_populate_the_map() {
         let mut c = ctx(ApplicationId::PackageDelivery);
         let frame = c.capture_depth();
-        let latency = c.update_map(&frame);
-        assert!(!latency.is_zero());
+        let breakdown = c.update_map(&frame);
+        assert!(breakdown.iter().all(|(_, latency)| !latency.is_zero()));
         assert!(c.map.known_voxel_count() > 0);
         assert!(c.timer.invocations(KernelId::OctomapGeneration) == 1);
     }

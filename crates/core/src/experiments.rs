@@ -6,10 +6,9 @@
 //! qualitative shape of the results: who wins, in which direction, by roughly
 //! what factor).
 //!
-//! All sweeps execute through the parallel [`SweepRunner`]: the default
-//! entry points (`operating_point_sweep`, …) use every available core, and
-//! each has a `*_with` variant taking an explicit runner so harnesses can
-//! honour `--threads`. Results are bit-identical across thread counts — see
+//! All sweeps execute on the parallel [`SweepRunner`] the caller passes in
+//! (`SweepRunner::new()` uses every available core; harnesses honour
+//! `--threads`). Results are bit-identical across thread counts — see
 //! [`crate::sweep`] for the determinism contract.
 
 use crate::config::{MissionConfig, NodeOpConfig, RateConfig, ReplanMode, ResolutionPolicy};
@@ -40,20 +39,11 @@ impl ToJson for HeatmapCell {
     }
 }
 
-/// Runs the 3×3 TX2 operating-point sweep for one application on every
-/// available core.
+/// Runs the 3×3 TX2 operating-point sweep for one application on `runner`.
 ///
 /// `configure` receives the default configuration for the application and may
 /// adjust it (seed, environment size, …) before each run.
 pub fn operating_point_sweep(
-    application: ApplicationId,
-    configure: impl Fn(MissionConfig) -> MissionConfig,
-) -> Vec<HeatmapCell> {
-    operating_point_sweep_with(&SweepRunner::new(), application, configure)
-}
-
-/// [`operating_point_sweep`] on an explicit [`SweepRunner`].
-pub fn operating_point_sweep_with(
     runner: &SweepRunner,
     application: ApplicationId,
     configure: impl Fn(MissionConfig) -> MissionConfig,
@@ -152,12 +142,7 @@ impl ToJson for CloudComparison {
 }
 
 /// Runs the sensor-cloud case study on 3D Mapping (both runs in parallel).
-pub fn cloud_offload_study(configure: impl Fn(MissionConfig) -> MissionConfig) -> CloudComparison {
-    cloud_offload_study_with(&SweepRunner::new(), configure)
-}
-
-/// [`cloud_offload_study`] on an explicit [`SweepRunner`].
-pub fn cloud_offload_study_with(
+pub fn cloud_offload_study(
     runner: &SweepRunner,
     configure: impl Fn(MissionConfig) -> MissionConfig,
 ) -> CloudComparison {
@@ -198,14 +183,6 @@ impl ToJson for ResolutionRow {
 /// Runs the static-fine / static-coarse / dynamic resolution study for one
 /// application, all policies in parallel.
 pub fn resolution_study(
-    application: ApplicationId,
-    configure: impl Fn(MissionConfig) -> MissionConfig,
-) -> Vec<ResolutionRow> {
-    resolution_study_with(&SweepRunner::new(), application, configure)
-}
-
-/// [`resolution_study`] on an explicit [`SweepRunner`].
-pub fn resolution_study_with(
     runner: &SweepRunner,
     application: ApplicationId,
     configure: impl Fn(MissionConfig) -> MissionConfig,
@@ -261,15 +238,6 @@ impl ToJson for NoiseRow {
 /// depth-image noise, `runs` repetitions per noise level, every
 /// (level, repetition) mission in parallel.
 pub fn noise_reliability_study(
-    noise_levels: &[f64],
-    runs: u32,
-    configure: impl Fn(MissionConfig) -> MissionConfig,
-) -> Vec<NoiseRow> {
-    noise_reliability_study_with(&SweepRunner::new(), noise_levels, runs, configure)
-}
-
-/// [`noise_reliability_study`] on an explicit [`SweepRunner`].
-pub fn noise_reliability_study_with(
     runner: &SweepRunner,
     noise_levels: &[f64],
     runs: u32,
@@ -357,14 +325,6 @@ impl ToJson for RateSweepRow {
 /// lower safe velocity ⇒ longer mission time, the paper's Fig. 8b trend at
 /// whole-mission scope.
 pub fn perception_rate_sweep(
-    rates_hz: &[f64],
-    configure: impl Fn(MissionConfig) -> MissionConfig,
-) -> Vec<RateSweepRow> {
-    perception_rate_sweep_with(&SweepRunner::new(), rates_hz, configure)
-}
-
-/// [`perception_rate_sweep`] on an explicit [`SweepRunner`].
-pub fn perception_rate_sweep_with(
     runner: &SweepRunner,
     rates_hz: &[f64],
     configure: impl Fn(MissionConfig) -> MissionConfig,
@@ -420,12 +380,7 @@ impl ToJson for ReplanModeRow {
 /// kernels on the node-graph executor *while the vehicle keeps flying the
 /// stale plan*, so at equal collision(-alert) counts the mission strictly
 /// shortens — compare the rows' `replans` to confirm the counts match.
-pub fn replan_mode_sweep(configure: impl Fn(MissionConfig) -> MissionConfig) -> Vec<ReplanModeRow> {
-    replan_mode_sweep_with(&SweepRunner::new(), configure)
-}
-
-/// [`replan_mode_sweep`] on an explicit [`SweepRunner`].
-pub fn replan_mode_sweep_with(
+pub fn replan_mode_sweep(
     runner: &SweepRunner,
     configure: impl Fn(MissionConfig) -> MissionConfig,
 ) -> Vec<ReplanModeRow> {
@@ -537,12 +492,7 @@ pub fn exec_model_grid() -> Vec<(ExecModel, NodeOpConfig, &'static str)> {
 /// lowered Eq. 2 velocity cap — and differ only in where planning runs, so
 /// their delta isolates what keeping the planner on the big cluster buys in
 /// hover time.
-pub fn exec_model_sweep(configure: impl Fn(MissionConfig) -> MissionConfig) -> Vec<ExecModelRow> {
-    exec_model_sweep_with(&SweepRunner::new(), configure)
-}
-
-/// [`exec_model_sweep`] on an explicit [`SweepRunner`].
-pub fn exec_model_sweep_with(
+pub fn exec_model_sweep(
     runner: &SweepRunner,
     configure: impl Fn(MissionConfig) -> MissionConfig,
 ) -> Vec<ExecModelRow> {
@@ -635,7 +585,8 @@ mod tests {
         // Use the cheap Scanning application for a smoke test of the sweep
         // plumbing itself; the shape assertions on the heavier applications
         // live in the integration tests.
-        let cells = operating_point_sweep(ApplicationId::Scanning, scanning_quick);
+        let cells =
+            operating_point_sweep(&SweepRunner::new(), ApplicationId::Scanning, scanning_quick);
         assert_eq!(cells.len(), 9);
         assert!(cell(&cells, 4, 2.2).is_some());
         assert!(cell(&cells, 2, 0.8).is_some());
@@ -651,7 +602,7 @@ mod tests {
     fn heatmap_format_renders_all_nine_metric_values() {
         // Synthetic cells: metric = cores + GHz, so every rendered number is
         // predictable and distinct.
-        let template = operating_point_sweep_with(
+        let template = operating_point_sweep(
             &SweepRunner::new().with_threads(2),
             ApplicationId::Scanning,
             scanning_quick,
@@ -669,7 +620,7 @@ mod tests {
 
     #[test]
     fn heatmap_format_marks_missing_cells() {
-        let cells = operating_point_sweep_with(
+        let cells = operating_point_sweep(
             &SweepRunner::new().with_threads(2),
             ApplicationId::Scanning,
             scanning_quick,
@@ -684,7 +635,7 @@ mod tests {
 
     #[test]
     fn cell_lookup_tolerates_float_formatting() {
-        let cells = operating_point_sweep_with(
+        let cells = operating_point_sweep(
             &SweepRunner::new().with_threads(3),
             ApplicationId::Scanning,
             scanning_quick,
@@ -697,12 +648,12 @@ mod tests {
 
     #[test]
     fn operating_point_sweep_is_thread_count_invariant() {
-        let serial = operating_point_sweep_with(
+        let serial = operating_point_sweep(
             &SweepRunner::new().with_threads(1),
             ApplicationId::Scanning,
             scanning_quick,
         );
-        let parallel = operating_point_sweep_with(
+        let parallel = operating_point_sweep(
             &SweepRunner::new().with_threads(4),
             ApplicationId::Scanning,
             scanning_quick,

@@ -403,9 +403,6 @@ pub struct OctoMapNode {
     frames: Topic<Arc<DepthImage>>,
     period: SimDuration,
     last_sequence: u64,
-    /// Per-node operating point for the perception batch (`None`:
-    /// mission-global).
-    op: Option<OperatingPoint>,
 }
 
 impl OctoMapNode {
@@ -415,15 +412,7 @@ impl OctoMapNode {
             frames,
             period,
             last_sequence: 0,
-            op: None,
         }
-    }
-
-    /// Pins the node's kernel charges to its own operating point (builder
-    /// style): the big.LITTLE-style per-node DVFS hook.
-    pub fn with_operating_point(mut self, op: Option<OperatingPoint>) -> Self {
-        self.op = op;
-        self
     }
 }
 
@@ -449,8 +438,7 @@ impl Node<FlightCtx<'_>> for OctoMapNode {
         let Some(frame) = self.frames.latest() else {
             return Ok(NodeOutput::idle());
         };
-        let kernel_time = ctx.mission.update_map_detailed_at(&frame, self.op);
-        Ok(NodeOutput::kernels(kernel_time))
+        Ok(NodeOutput::kernels(ctx.mission.update_map(&frame)))
     }
 }
 
@@ -663,7 +651,7 @@ impl Node<FlightCtx<'_>> for PathTrackerNode {
         let kernel_time: Vec<(KernelId, SimDuration)> = self
             .kernels
             .iter()
-            .map(|&k| (k, ctx.mission.charge_kernel_at(k, op)))
+            .map(|&k| (k, ctx.mission.charge_kernel(k, op)))
             .collect();
         let plan_time = self.plan.timeline().plan_time(now);
         let state = *ctx.mission.quad.state();
@@ -1205,7 +1193,7 @@ impl Node<FlightCtx<'_>> for PlannerNode {
             // re-checks it from scratch.
             self.track_nearest_threat(ctx, &self.alerts.drain());
             let kernel = self.job.remove(0);
-            let latency = ctx.mission.charge_kernel_at(kernel, self.op);
+            let latency = ctx.mission.charge_kernel(kernel, self.op);
             self.job_spent += latency;
             // Planner-timeout degradation response: a job whose accumulated
             // kernel latency blew the budget (e.g. under injected latency
@@ -1248,7 +1236,7 @@ impl Node<FlightCtx<'_>> for PlannerNode {
             self.job = vec![KernelId::MotionPlanning, KernelId::PathSmoothing];
             self.job_spent = SimDuration::ZERO;
             let kernel = self.job.remove(0);
-            let latency = ctx.mission.charge_kernel_at(kernel, self.op);
+            let latency = ctx.mission.charge_kernel(kernel, self.op);
             self.job_spent += latency;
             if self.job_timed_out() {
                 self.abandon_job(ctx);

@@ -18,9 +18,9 @@
 //!   report `Vec`. Histogram merges add integer bin counts; f64 sums are
 //!   folded in fixed shard order, so aggregates are bit-identical at every
 //!   thread count.
-//! * [`reliability_sweep_with`] — shards the episode range into fixed
-//!   contiguous blocks via [`SweepRunner::run_sharded`], runs each shard's
-//!   episodes through that worker's [`crate::EpisodeScratch`]
+//! * [`reliability_sweep_classified_observed`] — shards the episode range
+//!   into fixed contiguous blocks via [`SweepRunner::run_sharded`], runs each
+//!   shard's episodes through that worker's [`crate::EpisodeScratch`]
 //!   (zero-realloc episode reuse), and merges the shard accumulators in
 //!   shard order.
 
@@ -470,7 +470,7 @@ impl ScenarioGenerator {
     /// The scenario class of episode `index`: the replan policy plus the
     /// fault cohort, e.g. `"hover+faults:none"` or
     /// `"in-motion+faults:cam-drop=0.1"`. Keys the per-class breakdown of
-    /// [`reliability_sweep_classified`], so fault cohorts are separable from
+    /// [`reliability_sweep_classified_observed`], so fault cohorts are separable from
     /// one sweep's JSON without re-running.
     pub fn episode_class(&self, index: u64) -> String {
         let d = self.draws(index);
@@ -650,26 +650,22 @@ impl ToJson for ClassStats {
     }
 }
 
-/// [`reliability_sweep_sharded`] plus a per-scenario-class breakdown keyed by
-/// [`ScenarioGenerator::episode_class`]. The aggregate is recorded in the
-/// same episode order as the plain sweep, so its bits are unchanged; the
-/// class map is all-integer and merges in shard order.
-pub fn reliability_sweep_classified(
-    runner: &SweepRunner,
-    generator: &ScenarioGenerator,
-    episodes: u64,
-    shard_size: u64,
-) -> (ReliabilityStats, BTreeMap<String, ClassStats>) {
-    reliability_sweep_classified_observed(runner, generator, episodes, shard_size, &|_| {})
-}
-
-/// [`reliability_sweep_classified`] with an episode-completion observer: the
-/// callback fires once per finished episode, from whichever worker thread ran
-/// it. The observer sees only *that* an episode completed — never its data —
-/// so it cannot perturb the aggregates; `mav-server` uses it to publish job
-/// progress counters while a sweep runs. The plain entry points route through
-/// here with a no-op observer, so there is exactly one sweep loop to keep
-/// bit-identical.
+/// Runs `episodes` scenario-generator episodes and returns the streaming
+/// aggregate plus a per-scenario-class breakdown keyed by
+/// [`ScenarioGenerator::episode_class`].
+///
+/// Episodes are sharded into contiguous blocks of `shard_size`
+/// ([`DEFAULT_SHARD_SIZE`] outside tests, which use small shards to exercise
+/// multi-shard merging with few episodes). Each worker folds its shard
+/// through its thread-local [`crate::EpisodeScratch`] (zero-realloc episode
+/// reuse) and the shard accumulators merge in shard order, so aggregates are
+/// bit-identical at every thread count; the class map is all-integer.
+///
+/// `observe_episode_done` fires once per finished episode, from whichever
+/// worker thread ran it. The observer sees only *that* an episode completed
+/// — never its data — so it cannot perturb the aggregates; `mav-server` uses
+/// it to publish job progress counters while a sweep runs. Callers with
+/// nothing to observe pass `&|_| {}`.
 pub fn reliability_sweep_classified_observed(
     runner: &SweepRunner,
     generator: &ScenarioGenerator,
@@ -702,30 +698,6 @@ pub fn reliability_sweep_classified_observed(
         }
     }
     (total, classes)
-}
-
-/// [`reliability_sweep_with`] with an explicit shard size (tests use small
-/// shards to exercise multi-shard merging with few episodes).
-pub fn reliability_sweep_sharded(
-    runner: &SweepRunner,
-    generator: &ScenarioGenerator,
-    episodes: u64,
-    shard_size: u64,
-) -> ReliabilityStats {
-    reliability_sweep_classified(runner, generator, episodes, shard_size).0
-}
-
-/// Runs `episodes` scenario-generator episodes and returns the streaming
-/// aggregate. Episodes are sharded into fixed contiguous blocks; each worker
-/// folds its shard through its thread-local [`crate::EpisodeScratch`]
-/// (zero-realloc episode reuse) and the shard accumulators merge in shard
-/// order — aggregates are bit-identical at every thread count.
-pub fn reliability_sweep_with(
-    runner: &SweepRunner,
-    generator: &ScenarioGenerator,
-    episodes: u64,
-) -> ReliabilityStats {
-    reliability_sweep_sharded(runner, generator, episodes, DEFAULT_SHARD_SIZE)
 }
 
 /// One cell of the replan-rate × replan-mode reliability grid.
@@ -784,7 +756,14 @@ pub fn reliability_rate_grid_with(
                 .with_rate_choices(vec![rates])
                 .with_replan_modes(vec![replan_mode])
                 .with_exec_models(vec![ExecModel::Serial]);
-            let stats = reliability_sweep_with(runner, &generator, episodes_per_cell);
+            let stats = reliability_sweep_classified_observed(
+                runner,
+                &generator,
+                episodes_per_cell,
+                DEFAULT_SHARD_SIZE,
+                &|_| {},
+            )
+            .0;
             cells.push(RateGridCell {
                 replan_hz,
                 replan_mode,
@@ -874,7 +853,14 @@ pub fn reliability_fault_grid_with(
             let generator = ScenarioGenerator::new(application, base_seed)
                 .with_fault_plans(vec![scaled])
                 .with_degradation(*degradation);
-            let stats = reliability_sweep_with(runner, &generator, episodes_per_cell);
+            let stats = reliability_sweep_classified_observed(
+                runner,
+                &generator,
+                episodes_per_cell,
+                DEFAULT_SHARD_SIZE,
+                &|_| {},
+            )
+            .0;
             cells.push(FaultGridCell {
                 intensity,
                 plan: scaled,
@@ -976,18 +962,33 @@ mod tests {
         assert_eq!(cfg.seed, cfg.environment.seed);
     }
 
+    /// The sweep's streaming aggregate alone, with no observer.
+    fn sweep(
+        runner: &SweepRunner,
+        generator: &ScenarioGenerator,
+        episodes: u64,
+        shard_size: u64,
+    ) -> ReliabilityStats {
+        reliability_sweep_classified_observed(runner, generator, episodes, shard_size, &|_| {}).0
+    }
+
     #[test]
     fn sweep_aggregates_match_a_serial_fresh_mission_loop() {
         // Six episodes fit one shard, so the sharded sweep accumulates in the
-        // same order as this serial loop — and the loop uses the allocating
-        // run_mission, so this also pins scratch reuse to fresh missions at
-        // the aggregate level.
+        // same order as this serial loop — and the loop runs every mission on
+        // a cold scratch, so this also pins scratch reuse to fresh missions
+        // at the aggregate level.
         let generator = tiny_generator();
         let mut expected = ReliabilityStats::new();
         for index in 0..6 {
             expected.record(&run_mission(generator.episode(index)));
         }
-        let swept = reliability_sweep_with(&SweepRunner::new().with_threads(2), &generator, 6);
+        let swept = sweep(
+            &SweepRunner::new().with_threads(2),
+            &generator,
+            6,
+            DEFAULT_SHARD_SIZE,
+        );
         assert_eq!(expected, swept);
     }
 
@@ -995,16 +996,10 @@ mod tests {
     fn aggregates_are_bit_identical_across_thread_counts() {
         let generator = tiny_generator();
         // 40 episodes over shards of 8: five shards to schedule.
-        let baseline =
-            reliability_sweep_sharded(&SweepRunner::new().with_threads(1), &generator, 40, 8);
+        let baseline = sweep(&SweepRunner::new().with_threads(1), &generator, 40, 8);
         assert_eq!(baseline.episodes, 40);
         for threads in [2, 4, 8] {
-            let parallel = reliability_sweep_sharded(
-                &SweepRunner::new().with_threads(threads),
-                &generator,
-                40,
-                8,
-            );
+            let parallel = sweep(&SweepRunner::new().with_threads(threads), &generator, 40, 8);
             assert_eq!(baseline, parallel, "diverged at {threads} threads");
             assert_eq!(
                 baseline.time.sum().to_bits(),
@@ -1061,7 +1056,8 @@ mod tests {
             FaultPlan::parse("kernel-spike=0.3").unwrap(),
         ]);
         let runner = SweepRunner::new().with_threads(2);
-        let (stats, classes) = reliability_sweep_classified(&runner, &generator, 12, 4);
+        let (stats, classes) =
+            reliability_sweep_classified_observed(&runner, &generator, 12, 4, &|_| {});
         assert_eq!(stats.episodes, 12);
         assert!(!classes.is_empty());
         let class_total: u64 = classes.values().map(|c| c.episodes).sum();
@@ -1078,11 +1074,12 @@ mod tests {
         // The classified aggregate is bit-identical to the plain sweep, and
         // invariant to thread count.
         for threads in [1, 4] {
-            let (again, classes_again) = reliability_sweep_classified(
+            let (again, classes_again) = reliability_sweep_classified_observed(
                 &SweepRunner::new().with_threads(threads),
                 &generator,
                 12,
                 4,
+                &|_| {},
             );
             assert_eq!(stats, again, "aggregate diverged at {threads} threads");
             assert_eq!(

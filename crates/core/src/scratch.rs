@@ -1,18 +1,19 @@
 //! Cross-episode scratch reuse: the zero-realloc substrate of the
 //! Monte-Carlo reliability sweep.
 //!
-//! Every [`crate::run_mission`] historically built a fresh
-//! [`crate::MissionContext`] — a new `OctoMap` arena, new point-cloud
-//! buffers, a regenerated world — and threw it all away. At reliability-sweep
-//! scale (ROADMAP item 3: 10k–1M episodes) that allocation churn is the
-//! bottleneck, so [`EpisodeScratch`] keeps the expensive state alive between
-//! episodes: the map is [`mav_perception::OctoMap::clear`]ed (or reshaped
-//! with [`mav_perception::OctoMap::reset`]) instead of reallocated, the
+//! Every [`crate::MissionContext`] sources its world, `OctoMap` arena and
+//! point-cloud buffers from an [`EpisodeScratch`] and deposits them back
+//! when the mission finishes. At reliability-sweep scale (10k–1M episodes)
+//! reallocating that state per episode is the bottleneck, so a sweep worker
+//! keeps one scratch alive between episodes: the map is
+//! [`mav_perception::OctoMap::clear`]ed (or reshaped with
+//! [`mav_perception::OctoMap::reset`]) instead of reallocated, the
 //! per-frame cloud buffers keep their capacity, and an identical environment
 //! configuration reuses the cached pristine [`World`] instead of regenerating
-//! it. Reuse is *bit-transparent*: `run_mission_with_scratch` produces the
-//! exact report of `run_mission` (pinned by tests), because every reused
-//! structure restores its fresh-constructed state exactly.
+//! it. [`crate::run_mission`] and [`crate::MissionContext::new`] take the
+//! same path with a cold scratch. Reuse is *bit-transparent*: a warm scratch
+//! produces the exact report of a cold one (pinned by tests), because every
+//! reused structure restores its fresh-constructed state exactly.
 
 use mav_env::{EnvironmentConfig, World};
 use mav_perception::{DownsampleScratch, OctoMap, OctoMapConfig, PointCloud};

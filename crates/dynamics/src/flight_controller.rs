@@ -3,7 +3,7 @@
 //! This is the MAVBench-RS stand-in for the PX4/Pixhawk autopilot. It accepts
 //! high-level commands (arm, take off, fly a velocity setpoint, hover, land),
 //! lowers them to the velocity commands the point-mass quadrotor tracks, and
-//! reports the flight phase used by the mission power traces (Fig. 9b of the
+//! reports the flight phase the energy account files power under (Fig. 9b of the
 //! paper distinguishes arming, hovering, flying and landing power).
 
 use crate::quadrotor::Quadrotor;

@@ -4,7 +4,7 @@
 //! stack: a point-mass quadrotor with velocity/acceleration limits and a
 //! flight controller that lowers high-level commands (arm, take off, fly,
 //! hover, land) into velocity tracking, while reporting the flight phase used
-//! by the energy model's mission power traces.
+//! by the energy account's per-phase power means.
 //!
 //! # Example
 //!

@@ -1,8 +1,8 @@
-//! Mission energy accounting: per-subsystem power integration and the power
-//! traces behind the paper's Fig. 9.
+//! Mission energy accounting: per-subsystem energy integration and the
+//! per-phase mean power behind the paper's Fig. 9.
 
 use mav_dynamics_phase::FlightPhaseLabel;
-use mav_types::{Energy, Power, SimDuration, SimTime};
+use mav_types::{Energy, Power, SimDuration};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -12,7 +12,7 @@ use std::fmt;
 pub mod mav_dynamics_phase {
     use serde::{Deserialize, Serialize};
 
-    /// Label attached to each power sample in a mission trace.
+    /// Flight phase an energy-account record is filed under.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
     pub enum FlightPhaseLabel {
         /// Motors arming on the ground.
@@ -41,39 +41,24 @@ pub mod mav_dynamics_phase {
     }
 }
 
-/// One sample of the mission power trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PowerSample {
-    /// Mission time of the sample.
-    pub time: SimTime,
-    /// Rotor power at this instant.
-    pub rotor: Power,
-    /// Companion-computer power at this instant.
-    pub compute: Power,
-    /// Other electronics (flight controller, sensors), watts.
-    pub other: Power,
-    /// Flight phase during this sample.
-    pub phase: FlightPhaseLabel,
-}
+/// Constant draw of the other electronics (flight controller and sensors),
+/// watts, matching the paper's power pie.
+pub const OTHER_ELECTRONICS_WATTS: f64 = 2.0;
 
-impl PowerSample {
-    /// Total system power at this instant.
-    pub fn total(&self) -> Power {
-        self.rotor + self.compute + self.other
-    }
-}
+/// Number of [`FlightPhaseLabel`] variants: the accumulators are indexed by
+/// declaration order, and `Ground` is the last variant.
+const PHASES: usize = FlightPhaseLabel::Ground as usize + 1;
 
-/// Aggregate energy split by subsystem plus the raw trace.
+/// Aggregate energy split by subsystem plus the per-phase power means.
 ///
 /// # Example
 ///
 /// ```
 /// use mav_energy::{EnergyAccount, FlightPhaseLabel};
-/// use mav_types::{Power, SimDuration, SimTime};
+/// use mav_types::{Power, SimDuration};
 ///
 /// let mut account = EnergyAccount::new();
 /// account.record(
-///     SimTime::ZERO,
 ///     SimDuration::from_secs(10.0),
 ///     Power::from_watts(300.0),
 ///     Power::from_watts(10.0),
@@ -86,41 +71,32 @@ pub struct EnergyAccount {
     rotor_energy: Energy,
     compute_energy: Energy,
     other_energy: Energy,
-    trace: Vec<PowerSample>,
-    /// Constant draw of the flight controller and sensors, watts.
-    pub other_watts: f64,
+    /// Per phase: the sum of the recorded total powers in watts and the
+    /// number of records, summed in record order.
+    phase_power: [(f64, u64); PHASES],
 }
 
 impl EnergyAccount {
-    /// Creates an empty account with a 2 W "other electronics" draw
-    /// (flight controller + sensors), matching the paper's power pie.
+    /// Creates an empty account.
     pub fn new() -> Self {
-        EnergyAccount {
-            other_watts: 2.0,
-            ..Default::default()
-        }
+        EnergyAccount::default()
     }
 
     /// Records one interval of the mission.
     pub fn record(
         &mut self,
-        time: SimTime,
         dt: SimDuration,
         rotor: Power,
         compute: Power,
         phase: FlightPhaseLabel,
     ) {
-        let other = Power::from_watts(self.other_watts);
+        let other = Power::from_watts(OTHER_ELECTRONICS_WATTS);
         self.rotor_energy += rotor.over(dt);
         self.compute_energy += compute.over(dt);
         self.other_energy += other.over(dt);
-        self.trace.push(PowerSample {
-            time,
-            rotor,
-            compute,
-            other,
-            phase,
-        });
+        let (sum, count) = &mut self.phase_power[phase as usize];
+        *sum += (rotor + compute + other).as_watts();
+        *count += 1;
     }
 
     /// Total energy consumed by the rotors.
@@ -153,29 +129,12 @@ impl EnergyAccount {
         self.compute_energy.fraction_of(self.total_energy())
     }
 
-    /// The full power trace.
-    pub fn trace(&self) -> &[PowerSample] {
-        &self.trace
-    }
-
-    /// Average total power over the trace (simple sample mean).
-    pub fn average_total_power(&self) -> Power {
-        if self.trace.is_empty() {
-            return Power::ZERO;
-        }
-        let sum: f64 = self.trace.iter().map(|s| s.total().as_watts()).sum();
-        Power::from_watts(sum / self.trace.len() as f64)
-    }
-
-    /// Average total power during a specific flight phase, or `None` when the
-    /// phase never occurred.
+    /// Mean total power over the records of a specific flight phase (one
+    /// record per interval, whatever its length), or `None` when the phase
+    /// never occurred.
     pub fn average_power_in_phase(&self, phase: FlightPhaseLabel) -> Option<Power> {
-        let samples: Vec<&PowerSample> = self.trace.iter().filter(|s| s.phase == phase).collect();
-        if samples.is_empty() {
-            return None;
-        }
-        let sum: f64 = samples.iter().map(|s| s.total().as_watts()).sum();
-        Some(Power::from_watts(sum / samples.len() as f64))
+        let (sum, count) = self.phase_power[phase as usize];
+        (count > 0).then(|| Power::from_watts(sum / count as f64))
     }
 }
 
@@ -195,31 +154,44 @@ impl fmt::Display for EnergyAccount {
 mod tests {
     use super::*;
 
-    fn filled_account() -> EnergyAccount {
+    /// One recorded interval: (phase, dt seconds, rotor W, compute W).
+    type Interval = (FlightPhaseLabel, f64, f64, f64);
+
+    /// A mission profile with unequal step lengths: every phase ends on a
+    /// short final step, like `MissionContext::advance` does.
+    fn profile() -> Vec<Interval> {
+        let mut intervals = Vec::new();
+        for (phase, rotor, steps) in [
+            (FlightPhaseLabel::Arming, 80.0, 5),
+            (FlightPhaseLabel::Hovering, 287.0, 10),
+            (FlightPhaseLabel::Flying, 330.0, 40),
+            (FlightPhaseLabel::Landing, 250.0, 5),
+        ] {
+            for i in 0..steps {
+                // A little rotor-power ripple so the sums round.
+                let ripple = 0.1 * f64::from(i % 7);
+                intervals.push((phase, 0.05, rotor + ripple, 13.0));
+            }
+            intervals.push((phase, 0.0173, rotor - 0.3, 13.0));
+        }
+        intervals
+    }
+
+    fn record_all(intervals: &[Interval]) -> EnergyAccount {
         let mut acc = EnergyAccount::new();
-        let mut t = SimTime::ZERO;
-        let dt = SimDuration::from_secs(1.0);
-        for i in 0..60 {
-            let phase = if i < 5 {
-                FlightPhaseLabel::Arming
-            } else if i < 15 {
-                FlightPhaseLabel::Hovering
-            } else if i < 55 {
-                FlightPhaseLabel::Flying
-            } else {
-                FlightPhaseLabel::Landing
-            };
-            let rotor = match phase {
-                FlightPhaseLabel::Arming => Power::from_watts(80.0),
-                FlightPhaseLabel::Hovering => Power::from_watts(287.0),
-                FlightPhaseLabel::Flying => Power::from_watts(330.0),
-                FlightPhaseLabel::Landing => Power::from_watts(250.0),
-                FlightPhaseLabel::Ground => Power::ZERO,
-            };
-            acc.record(t, dt, rotor, Power::from_watts(13.0), phase);
-            t += dt;
+        for &(phase, dt, rotor, compute) in intervals {
+            acc.record(
+                SimDuration::from_secs(dt),
+                Power::from_watts(rotor),
+                Power::from_watts(compute),
+                phase,
+            );
         }
         acc
+    }
+
+    fn filled_account() -> EnergyAccount {
+        record_all(&profile())
     }
 
     #[test]
@@ -228,7 +200,33 @@ mod tests {
         assert!(acc.rotor_fraction() > 0.9);
         assert!(acc.compute_fraction() < 0.06);
         assert!(acc.total_energy() > acc.rotor_energy());
-        assert_eq!(acc.trace().len(), 60);
+    }
+
+    #[test]
+    fn phase_means_match_the_recorded_samples_bit_for_bit() {
+        let intervals = profile();
+        let acc = record_all(&intervals);
+        for phase in [
+            FlightPhaseLabel::Arming,
+            FlightPhaseLabel::Hovering,
+            FlightPhaseLabel::Flying,
+            FlightPhaseLabel::Landing,
+        ] {
+            // The sample mean over this phase's records, in record order.
+            let totals: Vec<f64> = intervals
+                .iter()
+                .filter(|interval| interval.0 == phase)
+                .map(|&(_, _, rotor, compute)| {
+                    (Power::from_watts(rotor)
+                        + Power::from_watts(compute)
+                        + Power::from_watts(OTHER_ELECTRONICS_WATTS))
+                    .as_watts()
+                })
+                .collect();
+            let expected = totals.iter().sum::<f64>() / totals.len() as f64;
+            let mean = acc.average_power_in_phase(phase).unwrap().as_watts();
+            assert_eq!(mean.to_bits(), expected.to_bits(), "{phase}");
+        }
     }
 
     #[test]
@@ -254,7 +252,6 @@ mod tests {
     fn energy_is_power_times_time() {
         let mut acc = EnergyAccount::new();
         acc.record(
-            SimTime::ZERO,
             SimDuration::from_secs(100.0),
             Power::from_watts(300.0),
             Power::from_watts(10.0),
@@ -270,8 +267,9 @@ mod tests {
         let acc = EnergyAccount::new();
         assert_eq!(acc.total_energy(), Energy::ZERO);
         assert_eq!(acc.rotor_fraction(), 0.0);
-        assert_eq!(acc.average_total_power(), Power::ZERO);
-        assert!(acc.trace().is_empty());
+        assert!(acc
+            .average_power_in_phase(FlightPhaseLabel::Flying)
+            .is_none());
     }
 
     #[test]

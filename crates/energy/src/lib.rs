@@ -22,7 +22,9 @@ pub mod battery;
 pub mod catalog;
 pub mod power;
 
-pub use accounting::{mav_dynamics_phase::FlightPhaseLabel, EnergyAccount, PowerSample};
+pub use accounting::{
+    mav_dynamics_phase::FlightPhaseLabel, EnergyAccount, OTHER_ELECTRONICS_WATTS,
+};
 pub use battery::{Battery, BatteryConfig};
 pub use catalog::{commercial_mav_catalog, CommercialMav, WingType};
 pub use power::{ComputePowerModel, PowerCoefficients, RotorPowerModel};

@@ -183,6 +183,10 @@ fn malformed_specs_get_400_with_json_error_body() {
             "unknown field",
         ),
         (
+            r#"{"type":"mission","config":{"application":"scanning","map_insert_threads":2}}"#,
+            "unknown field",
+        ),
+        (
             r#"{"type":"mission","config":{"application":"scanning","physics_dt":-1.0}}"#,
             "physics_dt",
         ),

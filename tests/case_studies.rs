@@ -5,7 +5,7 @@
 
 use mavbench::compute::{ApplicationId, CloudConfig};
 use mavbench::core::experiments::{noise_reliability_study, quick_config, resolution_study};
-use mavbench::core::{run_mission, MissionConfig, ResolutionPolicy};
+use mavbench::core::{run_mission, MissionConfig, ResolutionPolicy, SweepRunner};
 
 fn small(cfg: MissionConfig) -> MissionConfig {
     let mut cfg = quick_config(cfg);
@@ -41,7 +41,7 @@ fn dynamic_resolution_is_cheaper_than_static_fine() {
     // policy completes the mission at least as fast as the fine static policy
     // (it spends less compute on OctoMap updates while outdoors) and retains
     // at least as much battery.
-    let rows = resolution_study(ApplicationId::PackageDelivery, |cfg| {
+    let rows = resolution_study(&SweepRunner::new(), ApplicationId::PackageDelivery, |cfg| {
         small(cfg).with_seed(12)
     });
     assert_eq!(rows.len(), 3);
@@ -82,7 +82,7 @@ fn depth_noise_degrades_package_delivery() {
     // Table II direction: injected depth noise never improves the mission —
     // it either triggers more re-planning (longer missions) or outright
     // failures. Two runs per level keep the debug-mode runtime bounded.
-    let rows = noise_reliability_study(&[0.0, 1.0], 2, small);
+    let rows = noise_reliability_study(&SweepRunner::new(), &[0.0, 1.0], 2, small);
     assert_eq!(rows.len(), 2);
     let clean = &rows[0];
     let noisy = &rows[1];

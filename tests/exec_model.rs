@@ -13,7 +13,7 @@ use mav_compute::{ApplicationId, KernelId, OperatingPoint};
 use mav_core::experiments::{exec_model_scenario, exec_model_sweep};
 use mav_core::{
     run_mission, ExecModel, ExecStage, MissionConfig, MissionContext, NodeOpConfig,
-    ResolutionPolicy,
+    ResolutionPolicy, SweepRunner,
 };
 use mav_runtime::{Executor, Node, NodeOutput, SimClock};
 use mav_types::{Frequency, Result, SimDuration, SimTime};
@@ -102,7 +102,7 @@ fn pipelined_mission_is_strictly_shorter_on_the_overlap_scenario() {
     // so control and the collision monitor run at a finer grain and the
     // episode's convergence tail shrinks — mission time strictly shorter,
     // everything else like-for-like (same route, same alert count).
-    let rows = exec_model_sweep(exec_model_scenario);
+    let rows = exec_model_sweep(&SweepRunner::new(), exec_model_scenario);
     assert_eq!(rows.len(), 4);
     let serial = &rows[0];
     let pipelined = &rows[1];
@@ -200,14 +200,14 @@ fn per_node_points_scale_only_their_own_kernels() {
             .with_node_ops(NodeOpConfig::mission_global().with_planning(little)),
     )
     .unwrap();
-    let ref_plan = reference.charge_kernel(KernelId::MotionPlanning);
-    let slow = slow_plan.charge_kernel_at(
+    let ref_plan = reference.charge_kernel(KernelId::MotionPlanning, None);
+    let slow = slow_plan.charge_kernel(
         KernelId::MotionPlanning,
         slow_plan.node_op_for_kernel(KernelId::MotionPlanning),
     );
     assert!(slow > ref_plan, "planner cluster did not slow planning");
-    let ref_octo = reference.charge_kernel(KernelId::OctomapGeneration);
-    let octo = slow_plan.charge_kernel_at(
+    let ref_octo = reference.charge_kernel(KernelId::OctomapGeneration, None);
+    let octo = slow_plan.charge_kernel(
         KernelId::OctomapGeneration,
         slow_plan.node_op_for_kernel(KernelId::OctomapGeneration),
     );

@@ -17,7 +17,7 @@
 
 use mav_compute::{ApplicationId, CloudConfig};
 use mav_core::experiments::quick_config;
-use mav_core::reliability::reliability_sweep_classified;
+use mav_core::reliability::reliability_sweep_classified_observed;
 use mav_core::{
     run_mission, DegradationConfig, FaultPlan, MissionConfig, MissionReport, ReplanMode,
     ResolutionPolicy, ScenarioGenerator, SweepRunner,
@@ -151,7 +151,8 @@ fn seeded_fault_sweep_hashes_identically_across_threads() {
     let mut digests = Vec::new();
     for threads in [1usize, 2, 4, 8] {
         let runner = SweepRunner::new().with_threads(threads);
-        let (stats, classes) = reliability_sweep_classified(&runner, &generator, 64, 16);
+        let (stats, classes) =
+            reliability_sweep_classified_observed(&runner, &generator, 64, 16, &|_| {});
         let mut fingerprint = stats.to_json().to_string_compact();
         for (class, class_stats) in &classes {
             fingerprint.push_str(class);
@@ -168,8 +169,13 @@ fn seeded_fault_sweep_hashes_identically_across_threads() {
     }
     // The digest must also fingerprint a sweep that actually injected faults:
     // the cohort labels prove all three fault plans were exercised.
-    let (_, classes) =
-        reliability_sweep_classified(&SweepRunner::new().with_threads(2), &generator, 64, 16);
+    let (_, classes) = reliability_sweep_classified_observed(
+        &SweepRunner::new().with_threads(2),
+        &generator,
+        64,
+        16,
+        &|_| {},
+    );
     let labels: Vec<&str> = classes.keys().map(|k| k.as_str()).collect();
     assert!(
         labels.iter().any(|l| l.ends_with("+faults:none")),

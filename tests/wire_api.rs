@@ -118,7 +118,6 @@ proptest! {
         stop in 1.0f64..30.0,
         cruise in 0.5f64..15.0,
         dt in 0.01f64..0.2,
-        threads in 1usize..=4,
         replan in 0u8..2,
         exec in 0u8..2,
         resolution in 0.1f64..1.0,
@@ -133,7 +132,6 @@ proptest! {
             .with_resolution_policy(ResolutionPolicy::Static { resolution })
             .with_replan_mode(if replan == 1 { ReplanMode::PlanInMotion } else { ReplanMode::HoverToPlan })
             .with_exec_model(if exec == 1 { ExecModel::Pipelined } else { ExecModel::Serial })
-            .with_map_insert_threads(threads)
             .with_fault_plan(FaultPlan { kernel_spike: spike, ..FaultPlan::none() })
             .with_degradation(DegradationConfig { stale_grace_factor: grace, ..DegradationConfig::off() });
         config.time_budget_secs = budget;
