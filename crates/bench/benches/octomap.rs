@@ -1,8 +1,8 @@
 //! Criterion benches for the OctoMap kernel: insertion cost vs resolution
 //! (the measured counterpart of Fig. 18), query cost, batched/parallel scan
-//! insertion, frontier extraction (the free-voxel index vs the full-tree
-//! walk) and a whole mapping-mission episode (the episodes/sec figure the
-//! ROADMAP's Monte-Carlo item tracks).
+//! insertion, frontier extraction (the free-voxel index and the frontier
+//! search built on it) and a whole mapping-mission episode (the
+//! episodes/sec figure the ROADMAP's Monte-Carlo item tracks).
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mav_core::{run_mission, run_mission_with_scratch, EpisodeScratch, MissionConfig};
 use mav_env::EnvironmentConfig;
@@ -118,9 +118,6 @@ fn bench_frontier_extraction(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("free_voxel_centers", |b| {
         b.iter(|| map.free_voxel_centers().len())
-    });
-    group.bench_function("free_voxel_centers_scan", |b| {
-        b.iter(|| map.free_voxel_centers_scan().len())
     });
     group.bench_function("find_frontiers", |b| {
         b.iter(|| explorer.find_frontiers(&map).len())

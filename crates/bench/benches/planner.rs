@@ -1,12 +1,11 @@
-//! Criterion benches for the planning hot path attacked by the spatial-index
-//! overhaul: RRT / PRM planning, the shortcut pass, swept-segment collision
-//! checks against maps of increasing obstacle density, the inflated-occupancy
-//! point query, and the end-to-end `replan_mode_sweep` wall time.
+//! Criterion benches for the planning hot path: RRT / PRM planning, the
+//! shortcut pass, RRT growth in dense clutter, swept-segment collision checks
+//! against maps of increasing obstacle density, the inflated-occupancy point
+//! query, and the end-to-end `replan_mode_sweep` wall time.
 //!
 //! Every benchmark here goes through the *public* planning API, so the same
-//! bench binary measures the legacy implementation and the indexed one: run it
-//! before and after the optimisation commit and pair the JSON records (that is
-//! how `BENCH_pr4.json` was produced).
+//! bench binary measures any two commits: run it on both and pair the JSON
+//! records.
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use mav_core::experiments::{replan_mode_sweep, replan_scenario};
 use mav_core::SweepRunner;
@@ -74,33 +73,27 @@ fn bench_plan(c: &mut Criterion) {
         b.iter(|| path.shortcut(&map, &checker).length())
     });
 
-    // A cluttered field and a far goal grow the RRT to thousands of nodes —
-    // the regime where nearest-neighbour cost dominates. The linear/indexed
-    // pair isolates the bucket-index contribution (both use the indexed map
-    // queries; only the neighbour lookup differs, and the planned path is
-    // bit-identical).
+    // A cluttered field, short extension steps and a far goal grow the RRT
+    // to thousands of nodes before the far corner connects — the regime
+    // where nearest-neighbour cost dominates. The record keeps its
+    // historical `indexed` name.
     let dense = pillar_map(2.0);
     let far_start = Vec3::new(-22.0, -22.0, 2.0);
     let far_goal = Vec3::new(22.0, 22.0, 2.0);
     let mut group = c.benchmark_group("planner_rrt_dense");
     group.sample_size(10);
-    for (label, indexed) in [("linear", false), ("indexed", true)] {
-        group.bench_function(label, |b| {
-            // Short extension steps in heavy clutter: the tree grows to
-            // thousands of nodes before the far corner connects.
-            let mut config =
-                PlannerConfig::new(PlannerKind::Rrt, bounds).with_spatial_index(indexed);
-            config.step = 0.5;
-            config.max_samples = 60_000;
-            let planner = ShortestPathPlanner::new(config);
-            b.iter(|| {
-                planner
-                    .plan(&dense, &checker, far_start, far_goal)
-                    .unwrap()
-                    .length()
-            })
-        });
-    }
+    group.bench_function("indexed", |b| {
+        let mut config = PlannerConfig::new(PlannerKind::Rrt, bounds);
+        config.step = 0.5;
+        config.max_samples = 60_000;
+        let planner = ShortestPathPlanner::new(config);
+        b.iter(|| {
+            planner
+                .plan(&dense, &checker, far_start, far_goal)
+                .unwrap()
+                .length()
+        })
+    });
     group.finish();
 }
 

@@ -5,6 +5,7 @@ use mav_compute::{ApplicationId, CloudConfig, OperatingPoint};
 use mav_dynamics::QuadrotorConfig;
 use mav_energy::BatteryConfig;
 use mav_env::EnvironmentConfig;
+use mav_perception::OctoMap;
 use mav_runtime::ExecModel;
 use mav_sensors::DepthCameraConfig;
 use mav_types::{Frequency, FromJson, Json, SimDuration, ToJson};
@@ -1062,13 +1063,31 @@ impl MissionConfig {
         cfg
     }
 
-    /// Validates the configuration.
+    /// Half-extent of the mission's occupancy-map domain in metres: the
+    /// larger world dimension plus a 5 m margin.
+    pub fn map_half_extent(&self) -> f64 {
+        self.environment.extent.max(self.environment.height) + 5.0
+    }
+
+    /// Validates the configuration, including that the occupancy map can
+    /// cover the world at every resolution the policy may select.
     ///
     /// # Errors
     ///
     /// Returns a descriptive message for the first invalid field.
     pub fn validate(&self) -> Result<(), String> {
         self.quadrotor.validate()?;
+        self.environment.validate()?;
+        let resolutions = match self.resolution_policy {
+            ResolutionPolicy::Static { resolution } => [resolution, resolution],
+            ResolutionPolicy::Dynamic {
+                outdoor, indoor, ..
+            } => [outdoor, indoor],
+        };
+        for resolution in resolutions {
+            OctoMap::check_domain(resolution, self.map_half_extent())
+                .map_err(|e| format!("resolution_policy: {e}"))?;
+        }
         if self.physics_dt <= 0.0 || self.physics_dt > 1.0 {
             return Err(format!(
                 "physics_dt must be in (0, 1], got {}",

@@ -145,10 +145,10 @@ impl MissionContext {
             None => mav_compute::ComputePlatform::tx2(config.application, config.operating_point),
         };
         let resolution = config.resolution_policy.initial_resolution();
-        let half_extent = config.environment.extent.max(config.environment.height) + 5.0;
-        let map = scratch
-            .borrow_mut()
-            .map_for(OctoMapConfig::with_resolution(resolution), half_extent);
+        let map = scratch.borrow_mut().map_for(
+            OctoMapConfig::with_resolution(resolution),
+            config.map_half_extent(),
+        );
         let camera = DepthCamera::new(config.camera);
         let depth_noise = DepthNoiseModel::new(config.depth_noise_std, config.seed);
         Ok(MissionContext {
@@ -529,8 +529,13 @@ impl MissionContext {
             .resolution_policy
             .resolution_for_density(density);
         if (wanted - self.current_resolution).abs() > 1e-9 {
-            self.map = self.map.reresolved(wanted);
-            self.current_resolution = wanted;
+            // Each rebuild covers the previous aligned domain, so a long run
+            // of switches can grow it past the voxel-key range; the map then
+            // keeps its current resolution.
+            if let Ok(map) = self.map.reresolved(wanted) {
+                self.map = map;
+                self.current_resolution = wanted;
+            }
         }
         let kernel_time: Vec<(KernelId, SimDuration)> = [
             KernelId::PointCloudGeneration,

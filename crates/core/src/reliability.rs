@@ -451,11 +451,16 @@ impl ScenarioGenerator {
         }
     }
 
+    /// The configuration every episode starts from before its draws apply.
+    fn episode_base(&self) -> MissionConfig {
+        quick_config(MissionConfig::fast_test(self.application))
+    }
+
     /// The mission configuration of episode `index` — a pure function of
     /// `(base_seed, index)` and the choice lists.
     pub fn episode(&self, index: u64) -> MissionConfig {
         let d = self.draws(index);
-        let mut cfg = quick_config(MissionConfig::fast_test(self.application));
+        let mut cfg = self.episode_base();
         cfg.environment.obstacle_density = self.densities[d.density];
         cfg.environment.extent = self.extents[d.extent];
         cfg.with_depth_noise(self.noise_levels[d.noise])
@@ -555,6 +560,12 @@ impl mav_types::FromJson for ScenarioGenerator {
             if len == 0 {
                 return Err(format!("{name}: choice list must be non-empty"));
             }
+        }
+        // A bad extent would fail every episode that draws it.
+        for &extent in &generator.extents {
+            let mut cfg = generator.episode_base();
+            cfg.environment.extent = extent;
+            cfg.validate().map_err(|e| format!("extents: {e}"))?;
         }
         Ok(generator)
     }

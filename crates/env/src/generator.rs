@@ -238,6 +238,23 @@ impl EnvironmentConfig {
         self
     }
 
+    /// Validates the world dimensions: `extent` and `height` must be finite
+    /// and positive.
+    ///
+    /// # Errors
+    ///
+    /// Returns a descriptive message for the first invalid field.
+    pub fn validate(&self) -> Result<(), String> {
+        for (name, value) in [("extent", self.extent), ("height", self.height)] {
+            if !(value.is_finite() && value > 0.0) {
+                return Err(format!(
+                    "environment.{name} must be finite and positive, got {value}"
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Generates the world described by this configuration.
     pub fn generate(&self) -> World {
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);

@@ -185,10 +185,6 @@ pub struct OctoMap {
     /// unknown-neighbour probes from this index instead of one octree descent
     /// per neighbour voxel.
     known_blocks: HashMap<u64, u64, VoxelHashBuilder>,
-    /// Whether voxel indices of this domain fit the 21-bit key packing. All
-    /// MAVBench worlds do; a multi-kilometre domain at centimetre resolution
-    /// would not, and falls back to the reference tree-scan queries.
-    index_packable: bool,
 }
 
 impl OctoMap {
@@ -198,7 +194,7 @@ impl OctoMap {
     ///
     /// # Panics
     ///
-    /// Panics if `half_extent` is not strictly positive.
+    /// Panics if [`OctoMap::check_domain`] rejects the domain.
     pub fn new(config: OctoMapConfig, half_extent: f64) -> Self {
         let mut map = OctoMap {
             grid: GridSpec::new(config.resolution),
@@ -213,7 +209,6 @@ impl OctoMap {
             occupied_count: 0,
             known_leaves: HashMap::with_hasher(VoxelHashBuilder::default()),
             known_blocks: HashMap::with_hasher(VoxelHashBuilder::default()),
-            index_packable: false,
         };
         map.reset(config, half_extent);
         map
@@ -240,33 +235,74 @@ impl OctoMap {
 
     /// [`OctoMap::clear`] plus a domain reshape: recomputes the geometry
     /// exactly as `OctoMap::new(config, half_extent)` would (depth, aligned
-    /// half-extent, traversal grid, index packability) while reusing the
-    /// storage of this map. `new` is implemented on top of this, so the two
-    /// cannot drift apart.
+    /// half-extent, traversal grid) while reusing the storage of this map.
+    /// `new` is implemented on top of this, so the two cannot drift apart.
     ///
     /// # Panics
     ///
-    /// Panics if `half_extent` is not strictly positive.
+    /// Panics if [`OctoMap::check_domain`] rejects the domain.
     pub fn reset(&mut self, config: OctoMapConfig, half_extent: f64) {
-        assert!(half_extent > 0.0, "half extent must be positive");
-        let leaves_per_axis = (2.0 * half_extent / config.resolution).ceil().max(1.0);
-        let depth = (leaves_per_axis.log2().ceil() as u32).max(1);
-        // Expand the domain so that each octree leaf is exactly one
-        // `resolution`-sized voxel and leaf boundaries align with the ray
-        // traversal grid; otherwise a leaf could straddle two traversal cells
-        // and updates/queries would disagree near voxel boundaries.
-        let aligned_half_extent = config.resolution * (1u64 << depth) as f64 / 2.0;
-        let half_extent = aligned_half_extent.max(half_extent);
+        assert_eq!(
+            Self::check_domain(config.resolution, half_extent),
+            Ok(()),
+            "invalid map domain"
+        );
+        let (depth, half_extent) = Self::aligned_domain(config.resolution, half_extent);
         self.grid = GridSpec::new(config.resolution);
         self.config = config;
         self.half_extent = half_extent;
         self.depth = depth;
-        // In-domain voxel indices are bounded by half_extent / resolution;
-        // query neighbourhoods only ever reach out-of-domain (hence
-        // never-occupied) voxels beyond the packing range, so packability
-        // of the domain itself is the only requirement.
-        self.index_packable = half_extent / config.resolution < (1u64 << 20) as f64;
         self.clear();
+    }
+
+    /// Checks that a map of voxel size `resolution` can cover the cube
+    /// `[-half_extent, half_extent]³`: both must be finite and positive, and
+    /// the octree's power-of-two domain must fit the voxel keys every index
+    /// and query is served from. Those keys hold voxel indices below 2^20
+    /// in magnitude, so the aligned half-extent must span fewer than 2^20
+    /// voxels; queries then reach at most one voxel past the domain without
+    /// aliasing. A 125 m world at 0.15 m needs 1024.
+    ///
+    /// # Errors
+    ///
+    /// Returns a descriptive message for a domain [`OctoMap::new`] would
+    /// reject.
+    pub fn check_domain(resolution: f64, half_extent: f64) -> Result<(), String> {
+        if !(resolution.is_finite() && resolution > 0.0) {
+            return Err(format!(
+                "map resolution must be finite and positive, got {resolution}"
+            ));
+        }
+        if !(half_extent.is_finite() && half_extent > 0.0) {
+            return Err(format!(
+                "map half-extent must be finite and positive, got {half_extent}"
+            ));
+        }
+        // The first comparison also keeps the depth below the shift width
+        // `aligned_domain` uses.
+        let limit = KEY_BIAS as f64;
+        if half_extent / resolution < limit
+            && Self::aligned_domain(resolution, half_extent).1 / resolution < limit
+        {
+            Ok(())
+        } else {
+            Err(format!(
+                "map domain too large: half-extent {half_extent} m at resolution \
+                 {resolution} m needs 2^20 or more voxels per half-axis"
+            ))
+        }
+    }
+
+    /// Tree depth and half-extent of the domain `reset` builds: widened so
+    /// that each octree leaf is exactly one `resolution`-sized voxel and leaf
+    /// boundaries align with the ray traversal grid; otherwise a leaf could
+    /// straddle two traversal cells and updates/queries would disagree near
+    /// voxel boundaries.
+    fn aligned_domain(resolution: f64, half_extent: f64) -> (u32, f64) {
+        let leaves_per_axis = (2.0 * half_extent / resolution).ceil().max(1.0);
+        let depth = (leaves_per_axis.log2().ceil() as u32).max(1);
+        let aligned_half_extent = resolution * (1u64 << depth) as f64 / 2.0;
+        (depth, aligned_half_extent.max(half_extent))
     }
 
     /// The map configuration.
@@ -379,10 +415,7 @@ impl OctoMap {
     /// individually.
     pub fn insert_point_cloud(&mut self, cloud: &PointCloud) {
         let sharing = cloud.len() as f64 * self.config.resolution * self.config.resolution;
-        // The batched path packs voxel indices into 21 bits per axis; a
-        // domain wider than that (multi-km at centimetre resolution) must
-        // take the ray-by-ray path or distinct voxels would alias.
-        if sharing < Self::BATCH_SHARING_THRESHOLD || !self.index_packable {
+        if sharing < Self::BATCH_SHARING_THRESHOLD {
             let origin = cloud.origin;
             for point in cloud.iter() {
                 self.insert_ray(&origin, &point);
@@ -517,15 +550,6 @@ impl OctoMap {
     /// the serial fold in phase 3.
     pub fn insert_point_cloud_parallel(&mut self, cloud: &PointCloud, threads: usize) {
         let threads = threads.max(1);
-        if !self.index_packable {
-            // Voxel keys would alias: take the ray-by-ray path, which the
-            // serial public entry point uses on such domains too.
-            let origin = cloud.origin;
-            for point in cloud.iter() {
-                self.insert_ray(&origin, &point);
-            }
-            return;
-        }
         let (grid, config, half_extent) = (self.grid, self.config, self.half_extent);
         // Phase 1: per-chunk grouping on workers, merged in chunk order.
         let chunk_len = cloud.len().div_ceil(threads).max(1);
@@ -626,16 +650,13 @@ impl OctoMap {
     /// treated as free here; planners that must be conservative should also
     /// call [`OctoMap::query`] on the point itself.
     ///
-    /// Decision-identical to
-    /// [`OctoMap::is_occupied_with_inflation_reference`] (property-tested),
-    /// but served from the occupied-voxel hash index: instead of one octree
-    /// descent per neighbour voxel, the query enumerates the few occupied
-    /// voxels inside the inflation cube straight from the block bitmasks and
-    /// classifies each against a precomputed offset ball.
+    /// Served from the occupied-voxel hash index: instead of one octree
+    /// descent per voxel of the inflation cube, the query enumerates the few
+    /// occupied voxels inside it straight from the block bitmasks and
+    /// classifies each against a precomputed offset ball. Decision-identical
+    /// to the per-voxel tree scan it replaced, which the crate's tests keep
+    /// as the oracle.
     pub fn is_occupied_with_inflation(&self, point: &Vec3, radius: f64) -> bool {
-        if !self.index_packable {
-            return self.is_occupied_with_inflation_reference(point, radius);
-        }
         if self.occupied_count == 0 {
             return false;
         }
@@ -671,32 +692,10 @@ impl OctoMap {
     /// callers should treat it as "an occupied voxel inside the inflation
     /// ball", not a canonical nearest one.
     pub fn blocking_voxel_with_inflation(&self, point: &Vec3, radius: f64) -> Option<Vec3> {
-        let r = radius.max(0.0);
-        if !self.index_packable {
-            // Reference fallback (domains too wide for 21-bit voxel keys):
-            // the same cube walk as the reference predicate, returning the
-            // first occupied voxel centre it accepts.
-            let steps = (r / self.config.resolution).ceil() as i64;
-            let center_idx = self.grid.index_of(point);
-            for dx in -steps..=steps {
-                for dy in -steps..=steps {
-                    for dz in -steps..=steps {
-                        let idx =
-                            GridIndex::new(center_idx.x + dx, center_idx.y + dy, center_idx.z + dz);
-                        let c = self.grid.center_of(&idx);
-                        if c.distance(point) <= r + self.config.resolution * 0.87
-                            && self.query(&c) == Occupancy::Occupied
-                        {
-                            return Some(c);
-                        }
-                    }
-                }
-            }
-            return None;
-        }
         if self.occupied_count == 0 {
             return None;
         }
+        let r = radius.max(0.0);
         let reach = r + self.config.resolution * 0.87;
         let steps = (r / self.config.resolution).ceil() as i64;
         let center_idx = self.grid.index_of(point);
@@ -726,46 +725,19 @@ impl OctoMap {
         blocking
     }
 
-    /// The pre-index inflation query: one full octree descent per voxel of
-    /// the inflation cube. Kept verbatim as the executable specification the
-    /// indexed query is property-tested against, and as the fallback for
-    /// domains too wide for 21-bit voxel keys.
-    pub fn is_occupied_with_inflation_reference(&self, point: &Vec3, radius: f64) -> bool {
-        let r = radius.max(0.0);
-        let steps = (r / self.config.resolution).ceil() as i64;
-        let center_idx = self.grid.index_of(point);
-        for dx in -steps..=steps {
-            for dy in -steps..=steps {
-                for dz in -steps..=steps {
-                    let idx =
-                        GridIndex::new(center_idx.x + dx, center_idx.y + dy, center_idx.z + dz);
-                    let c = self.grid.center_of(&idx);
-                    if c.distance(point) <= r + self.config.resolution * 0.87
-                        && self.query(&c) == Occupancy::Occupied
-                    {
-                        return true;
-                    }
-                }
-            }
-        }
-        false
-    }
-
     /// Returns `true` when the straight segment between `a` and `b`, swept by
     /// a vehicle of half-width `radius`, avoids every occupied voxel.
     ///
-    /// Decision-identical to [`OctoMap::segment_free_reference`]
-    /// (property-tested). The fast path walks the segment's crossed voxels
-    /// with the grid DDA and probes the occupied-voxel index over the swept
-    /// corridor — one bitmask probe per block instead of re-querying the
-    /// whole inflation neighbourhood at every half-resolution sample. Only
+    /// Decision-identical to the sampled predicate it replaced (a point
+    /// sample every half-resolution, each an inflation-cube tree scan; the
+    /// crate's tests keep it as the oracle). This path walks the segment's
+    /// crossed voxels with the grid DDA and probes the occupied-voxel index
+    /// over the swept corridor — one bitmask probe per block instead of
+    /// re-querying the whole inflation neighbourhood at every sample. Only
     /// when the corridor contains an occupied voxel does the exact sampled
     /// predicate run (against the indexed point query), so the common
     /// planner case — a free segment — never touches the octree at all.
     pub fn segment_free(&self, a: &Vec3, b: &Vec3, radius: f64) -> bool {
-        if !self.index_packable {
-            return self.segment_free_reference(a, b, radius);
-        }
         if self.occupied_count == 0 {
             return true;
         }
@@ -798,17 +770,12 @@ impl OctoMap {
     /// The reported voxel is the one blocking the first blocked sample along
     /// the segment (direction a → b).
     pub fn segment_blocking_voxel(&self, a: &Vec3, b: &Vec3, radius: f64) -> Option<Vec3> {
-        if self.index_packable {
-            if self.occupied_count == 0 {
-                return None;
-            }
-            if self.segment_corridor_clear(a, b, radius) {
-                return None;
-            }
+        if self.occupied_count == 0 || self.segment_corridor_clear(a, b, radius) {
+            return None;
         }
-        // An occupied voxel sits near the corridor (or the domain is too wide
-        // for the index): run the exact sampled predicate once and report the
-        // voxel blocking the first blocked sample.
+        // An occupied voxel sits near the corridor: run the exact sampled
+        // predicate once and report the voxel blocking the first blocked
+        // sample.
         let dist = a.distance(b);
         let step = (self.config.resolution * 0.5).max(0.05);
         let samples = ((dist / step).ceil() as usize).max(1);
@@ -820,24 +787,6 @@ impl OctoMap {
             }
         }
         None
-    }
-
-    /// The pre-index swept-segment predicate: a point sample every
-    /// half-resolution, each paying a full inflation-cube tree scan. Kept as
-    /// the executable specification [`OctoMap::segment_free`] is
-    /// property-tested against.
-    pub fn segment_free_reference(&self, a: &Vec3, b: &Vec3, radius: f64) -> bool {
-        let dist = a.distance(b);
-        let step = (self.config.resolution * 0.5).max(0.05);
-        let samples = ((dist / step).ceil() as usize).max(1);
-        for i in 0..=samples {
-            let t = i as f64 / samples as f64;
-            let p = a.lerp(b, t);
-            if self.is_occupied_with_inflation_reference(&p, radius) {
-                return false;
-            }
-        }
-        true
     }
 
     /// DDA prefilter for [`OctoMap::segment_free`]: walks the voxels crossed
@@ -939,8 +888,8 @@ impl OctoMap {
             for by in lo.y.div_euclid(4)..=hi.y.div_euclid(4) {
                 for bx in lo.x.div_euclid(4)..=hi.x.div_euclid(4) {
                     let Some(key) = pack_voxel_key_checked(&GridIndex::new(bx, by, bz)) else {
-                        // Beyond the packing range means beyond the (packable)
-                        // domain: those voxels are unobservable, never occupied.
+                        // Beyond the packing range means beyond the domain:
+                        // those voxels are unobservable, never occupied.
                         continue;
                     };
                     let Some(&mask) = self.occupied_blocks.get(&key) else {
@@ -975,8 +924,8 @@ impl OctoMap {
     }
 
     /// Number of occupied leaf voxels. O(1): served from the incrementally
-    /// maintained counter (see [`OctoMap::known_voxel_count_scan`] for the
-    /// tree-walk the counters are regression-tested against).
+    /// maintained counter, which the crate's tests check against a full tree
+    /// walk.
     pub fn occupied_voxel_count(&self) -> usize {
         self.occupied_count
     }
@@ -985,32 +934,7 @@ impl OctoMap {
     /// the incrementally maintained key set, which reproduces the historical
     /// tree-walk accounting exactly (including its dedup by rounded centre).
     pub fn known_voxel_count(&self) -> usize {
-        if self.index_packable {
-            self.known_leaves.len()
-        } else {
-            self.known_voxel_count_scan()
-        }
-    }
-
-    /// [`OctoMap::occupied_voxel_count`] recomputed by a full tree walk — the
-    /// pre-index implementation, kept as the regression oracle for the O(1)
-    /// counter. Caveat inherited from the internal `collect_leaves` walk: at
-    /// non-dyadic resolutions the walk can merge adjacent leaves whose noisy
-    /// centres round to the same key, so it may run a few voxels *below* the
-    /// exact per-leaf count the collision queries (and the O(1) counter)
-    /// use; at dyadic resolutions the two agree exactly.
-    pub fn occupied_voxel_count_scan(&self) -> usize {
-        self.collect_leaves()
-            .iter()
-            .filter(|(_, l)| *l > self.config.occupied_threshold)
-            .count()
-    }
-
-    /// [`OctoMap::known_voxel_count`] recomputed by a full tree walk — the
-    /// pre-index implementation, kept as the regression oracle for the O(1)
-    /// counter.
-    pub fn known_voxel_count_scan(&self) -> usize {
-        self.collect_leaves().len()
+        self.known_leaves.len()
     }
 
     /// Volume of observed space in cubic metres.
@@ -1022,9 +946,8 @@ impl OctoMap {
     ///
     /// Served from the incremental free-voxel index — O(known voxels) with no
     /// tree traversal — and bit-identical (centres, set membership and order)
-    /// to the full-walk [`OctoMap::free_voxel_centers_scan`] it replaced,
-    /// which remains as the regression oracle and the fallback for domains
-    /// too wide for the voxel-key packing.
+    /// to the full tree walk it replaced, which the crate's tests keep as the
+    /// oracle.
     pub fn free_voxel_centers(&self) -> Vec<Vec3> {
         let mut centers = Vec::new();
         self.free_voxel_centers_into(&mut centers);
@@ -1038,10 +961,6 @@ impl OctoMap {
     /// variant, which is implemented on top of this.
     pub fn free_voxel_centers_into(&self, centers: &mut Vec<Vec3>) {
         centers.clear();
-        if !self.index_packable {
-            centers.extend(self.free_voxel_centers_scan());
-            return;
-        }
         centers.extend(
             self.known_leaves
                 .values()
@@ -1060,26 +979,13 @@ impl OctoMap {
         });
     }
 
-    /// [`OctoMap::free_voxel_centers`] recomputed by a full tree walk — the
-    /// pre-index implementation, kept as the executable specification the
-    /// incremental free-voxel index is tested against.
-    pub fn free_voxel_centers_scan(&self) -> Vec<Vec3> {
-        self.collect_leaves()
-            .into_iter()
-            .filter(|(_, l)| *l <= self.config.occupied_threshold)
-            .map(|(c, _)| c)
-            .collect()
-    }
-
     /// Centres of all occupied voxels.
     ///
     /// Served from the occupied block-bitmask index: one `center_of` per set
-    /// mask bit instead of a full tree walk. Unlike the historical walk this
-    /// is exact per-leaf (the walk's rounded-centre dedup could merge two
-    /// adjacent leaves at non-dyadic resolutions, see
-    /// [`OctoMap::occupied_voxel_count_scan`]), and centres are the grid's
-    /// canonical voxel centres. The tree walk remains as
-    /// [`OctoMap::occupied_voxel_centers_scan`].
+    /// mask bit instead of a full tree walk. Unlike that walk this is exact
+    /// per-leaf (the walk's rounded-centre dedup can merge two adjacent
+    /// leaves at non-dyadic resolutions), and centres are the grid's
+    /// canonical voxel centres.
     pub fn occupied_voxel_centers(&self) -> Vec<Vec3> {
         let mut centers = Vec::new();
         self.occupied_voxel_centers_into(&mut centers);
@@ -1092,10 +998,6 @@ impl OctoMap {
     /// to the allocating variant, which is implemented on top of this.
     pub fn occupied_voxel_centers_into(&self, centers: &mut Vec<Vec3>) {
         centers.clear();
-        if !self.index_packable {
-            centers.extend(self.occupied_voxel_centers_scan());
-            return;
-        }
         centers.reserve(self.occupied_count);
         for (&key, &mask) in &self.occupied_blocks {
             let block = unpack_voxel_key(key);
@@ -1119,17 +1021,6 @@ impl OctoMap {
         });
     }
 
-    /// [`OctoMap::occupied_voxel_centers`] recomputed by a full tree walk —
-    /// the pre-index implementation, kept as the regression oracle for the
-    /// block-bitmask enumeration.
-    pub fn occupied_voxel_centers_scan(&self) -> Vec<Vec3> {
-        self.collect_leaves()
-            .into_iter()
-            .filter(|(_, l)| *l > self.config.occupied_threshold)
-            .map(|(c, _)| c)
-            .collect()
-    }
-
     /// Returns `true` when the voxel containing `point` has never been
     /// observed.
     pub fn is_unknown(&self, point: &Vec3) -> bool {
@@ -1146,22 +1037,8 @@ impl OctoMap {
     /// octree descents. An out-of-domain neighbour has no leaf, so it reads
     /// as unknown from the index exactly as [`OctoMap::query`] reports it;
     /// neighbour indices sit at most one voxel outside the domain, within the
-    /// alias-free range of the 21-bit key packing. Domains too wide for the
-    /// packing fall back to the probe loop.
+    /// alias-free range [`OctoMap::check_domain`] guarantees.
     pub fn has_unknown_neighbor6(&self, point: &Vec3) -> bool {
-        if !self.index_packable {
-            let r = self.config.resolution;
-            return [
-                Vec3::new(r, 0.0, 0.0),
-                Vec3::new(-r, 0.0, 0.0),
-                Vec3::new(0.0, r, 0.0),
-                Vec3::new(0.0, -r, 0.0),
-                Vec3::new(0.0, 0.0, r),
-                Vec3::new(0.0, 0.0, -r),
-            ]
-            .iter()
-            .any(|d| self.is_unknown(&(*point + *d)));
-        }
         let idx = self.grid.index_of(point);
         idx.neighbors6().iter().any(|n| {
             let (block, bit) = block_of(n);
@@ -1174,14 +1051,24 @@ impl OctoMap {
     /// Rebuilds this map's observations into a new map at a different
     /// resolution (the dynamic-resolution policy of the paper's energy case
     /// study switches between 0.15 m and 0.80 m at runtime).
-    pub fn reresolved(&self, new_resolution: f64) -> OctoMap {
+    ///
+    /// The new map covers this map's whole aligned domain, widened again to
+    /// a power-of-two voxel cube at the new resolution, so alternating
+    /// between two resolutions can double the domain every round trip.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OctoMap::check_domain`]'s message when the rebuilt domain
+    /// is invalid at `new_resolution`; this map is left untouched.
+    pub fn reresolved(&self, new_resolution: f64) -> Result<OctoMap, String> {
+        Self::check_domain(new_resolution, self.half_extent)?;
         let mut config = self.config;
         config.resolution = new_resolution;
         let mut out = OctoMap::new(config, self.half_extent);
         for (center, log_odds) in self.collect_leaves() {
             out.update_leaf(&center, log_odds);
         }
-        out
+        Ok(out)
     }
 
     /// Axis-aligned bounds of the octree domain.
@@ -1288,7 +1175,7 @@ impl OctoMap {
         self.updates += count;
         let threshold = self.config.occupied_threshold;
         let now = touch.after > threshold;
-        if touch.created && self.index_packable {
+        if touch.created {
             // The same dedup key collect_leaves() computes from this leaf's
             // centre during a tree walk (bit-identical: the descent
             // accumulates the centre with the exact additions the walk uses).
@@ -1332,38 +1219,35 @@ impl OctoMap {
         } else {
             self.occupied_count -= 1;
         }
-        if self.index_packable {
-            if !touch.created {
-                // Keep the free-voxel index's occupancy flag in step — but
-                // only when the crossing leaf is its key's dedup winner; a
-                // shadowed leaf is invisible to the tree walk this index
-                // mirrors.
-                let res = self.config.resolution;
-                let key = pack_voxel_key(&GridIndex::new(
-                    (touch.center.x / res).round() as i64,
-                    (touch.center.y / res).round() as i64,
-                    (touch.center.z / res).round() as i64,
-                ));
-                if let Some(entry) = self.known_leaves.get_mut(&key) {
-                    if entry.rank == touch.rank {
-                        entry.occupied = now;
-                    }
+        if !touch.created {
+            // Keep the free-voxel index's occupancy flag in step — but only
+            // when the crossing leaf is its key's dedup winner; a shadowed
+            // leaf is invisible to the tree walk this index mirrors.
+            let res = self.config.resolution;
+            let key = pack_voxel_key(&GridIndex::new(
+                (touch.center.x / res).round() as i64,
+                (touch.center.y / res).round() as i64,
+                (touch.center.z / res).round() as i64,
+            ));
+            if let Some(entry) = self.known_leaves.get_mut(&key) {
+                if entry.rank == touch.rank {
+                    entry.occupied = now;
                 }
             }
-            // Key the index entry off the *leaf's own centre* (mid-cell, so
-            // never within floating-point noise of a cell boundary), not the
-            // update point: an update point sitting exactly on a boundary
-            // then maps to whichever leaf the descent actually touched.
-            let idx = self.grid.index_of(&touch.center);
-            let (block, bit) = block_of(&idx);
-            let key = pack_voxel_key(&block);
-            if now {
-                *self.occupied_blocks.entry(key).or_insert(0) |= bit;
-            } else if let Some(mask) = self.occupied_blocks.get_mut(&key) {
-                *mask &= !bit;
-                if *mask == 0 {
-                    self.occupied_blocks.remove(&key);
-                }
+        }
+        // Key the index entry off the *leaf's own centre* (mid-cell, so never
+        // within floating-point noise of a cell boundary), not the update
+        // point: an update point sitting exactly on a boundary then maps to
+        // whichever leaf the descent actually touched.
+        let idx = self.grid.index_of(&touch.center);
+        let (block, bit) = block_of(&idx);
+        let key = pack_voxel_key(&block);
+        if now {
+            *self.occupied_blocks.entry(key).or_insert(0) |= bit;
+        } else if let Some(mask) = self.occupied_blocks.get_mut(&key) {
+            *mask &= !bit;
+            if *mask == 0 {
+                self.occupied_blocks.remove(&key);
             }
         }
     }
@@ -1493,36 +1377,39 @@ struct LeafTouch {
     rank: u64,
 }
 
+/// Offset added to each voxel-index axis before it is packed into 21 bits:
+/// keys hold indices of magnitude below it. [`OctoMap::check_domain`] keeps
+/// every map inside that range.
+const KEY_BIAS: i64 = 1 << 20;
+
 /// Packs an in-domain voxel index into one u64 key (21 bits per axis,
-/// offset-biased). Domain-filtered indices are far below the 2^20 bound:
-/// even a 200 m domain at 0.10 m resolution spans only ±2000 cells.
+/// offset-biased by [`KEY_BIAS`]).
 fn pack_voxel_key(cell: &GridIndex) -> u64 {
-    const BIAS: i64 = 1 << 20;
     debug_assert!(
-        cell.x.abs() < BIAS && cell.y.abs() < BIAS && cell.z.abs() < BIAS,
+        cell.x.abs() < KEY_BIAS && cell.y.abs() < KEY_BIAS && cell.z.abs() < KEY_BIAS,
         "voxel index out of packing range: {cell:?}"
     );
-    (((cell.x + BIAS) as u64) << 42) | (((cell.y + BIAS) as u64) << 21) | ((cell.z + BIAS) as u64)
+    (((cell.x + KEY_BIAS) as u64) << 42)
+        | (((cell.y + KEY_BIAS) as u64) << 21)
+        | ((cell.z + KEY_BIAS) as u64)
 }
 
 /// Inverse of [`pack_voxel_key`]: recovers the voxel (or block) index.
 fn unpack_voxel_key(key: u64) -> GridIndex {
-    const BIAS: i64 = 1 << 20;
     const MASK: u64 = (1 << 21) - 1;
     GridIndex::new(
-        ((key >> 42) & MASK) as i64 - BIAS,
-        ((key >> 21) & MASK) as i64 - BIAS,
-        (key & MASK) as i64 - BIAS,
+        ((key >> 42) & MASK) as i64 - KEY_BIAS,
+        ((key >> 21) & MASK) as i64 - KEY_BIAS,
+        (key & MASK) as i64 - KEY_BIAS,
     )
 }
 
 /// [`pack_voxel_key`] for query neighbourhoods, which may legitimately reach
-/// beyond the packing range: on a packable domain any index at or beyond
-/// ±2^20 has its centre outside the octree domain, so `None` simply means
-/// "unobservable, never occupied".
+/// beyond the packing range: any index at or beyond ±[`KEY_BIAS`] has its
+/// centre outside the octree domain, so `None` simply means "unobservable,
+/// never occupied".
 fn pack_voxel_key_checked(cell: &GridIndex) -> Option<u64> {
-    const BIAS: i64 = 1 << 20;
-    if cell.x.abs() < BIAS && cell.y.abs() < BIAS && cell.z.abs() < BIAS {
+    if cell.x.abs() < KEY_BIAS && cell.y.abs() < KEY_BIAS && cell.z.abs() < KEY_BIAS {
         Some(pack_voxel_key(cell))
     } else {
         None
@@ -1830,7 +1717,6 @@ impl PartialEq for OctoMap {
             && self.grid == other.grid
             && self.updates == other.updates
             && self.occupied_count == other.occupied_count
-            && self.index_packable == other.index_packable
             && self.occupied_blocks == other.occupied_blocks
             && self.known_leaves == other.known_leaves
             && self.known_blocks == other.known_blocks
@@ -1850,246 +1736,324 @@ impl fmt::Display for OctoMap {
     }
 }
 
-/// The pre-arena pointer-chasing octree, kept verbatim as a differential
-/// oracle: every node is a separate heap allocation reached through
-/// `Vec<Option<Node>>` child pointers, exactly the layout the arena replaced.
-/// The equivalence proptests drive [`reference::ReferenceMap`] and [`OctoMap`] with the
-/// same ray sequences and compare per-point log-odds and full leaf
-/// collections, so any behavioural drift in the arena descent shows up as a
-/// differential failure rather than a silent golden change.
-pub mod reference {
-    use super::{child_of, OctoMap, OctoMapConfig};
-    use mav_types::{GridSpec, Vec3};
-    use std::collections::HashMap;
-
-    #[derive(Debug, Clone)]
-    enum Node {
-        Leaf { log_odds: f64 },
-        Inner { children: Vec<Option<Node>> },
-    }
-
-    impl Node {
-        fn new_inner() -> Self {
-            Node::Inner {
-                children: vec![None; 8],
-            }
-        }
-    }
-
-    /// Pointer-tree occupancy map with the old (pre-arena) update and
-    /// collection logic, reduced to the surface the differential tests need.
-    #[derive(Debug, Clone)]
-    pub struct ReferenceMap {
-        config: OctoMapConfig,
-        half_extent: f64,
-        depth: u32,
-        grid: GridSpec,
-        root: Option<Node>,
-    }
-
-    impl ReferenceMap {
-        /// Mirrors [`OctoMap::new`]'s domain alignment so both maps agree on
-        /// leaf geometry.
-        pub fn new(config: OctoMapConfig, half_extent: f64) -> Self {
-            assert!(half_extent > 0.0, "half extent must be positive");
-            let leaves_per_axis = (2.0 * half_extent / config.resolution).ceil().max(1.0);
-            let depth = (leaves_per_axis.log2().ceil() as u32).max(1);
-            let aligned_half_extent = config.resolution * (1u64 << depth) as f64 / 2.0;
-            let half_extent = aligned_half_extent.max(half_extent);
-            ReferenceMap {
-                grid: GridSpec::new(config.resolution),
-                config,
-                half_extent,
-                depth,
-                root: None,
-            }
-        }
-
-        /// Integrates one sensor ray with the shared ray enumeration, so the
-        /// oracle and the arena can only diverge in their *tree* logic.
-        pub fn insert_ray(&mut self, origin: &Vec3, endpoint: &Vec3) {
-            let (grid, config, half_extent) = (self.grid, self.config, self.half_extent);
-            let clamp = config.clamp;
-            OctoMap::for_each_ray_update(
-                grid,
-                config,
-                half_extent,
-                origin,
-                endpoint,
-                |_cell, center, delta| {
-                    self.update_leaf(&center, move |log_odds| {
-                        *log_odds = (*log_odds + delta).clamp(clamp.0, clamp.1);
-                    });
-                },
-            );
-        }
-
-        /// Rebuilds the observations at a different resolution — the old
-        /// `OctoMap::reresolved` verbatim (collect, then re-apply each leaf's
-        /// log-odds as one clamped delta into the new tree).
-        pub fn reresolved(&self, new_resolution: f64) -> ReferenceMap {
-            let mut config = self.config;
-            config.resolution = new_resolution;
-            let clamp = config.clamp;
-            let mut out = ReferenceMap::new(config, self.half_extent);
-            for (center, log_odds) in self.collect() {
-                out.update_leaf(&center, move |l| {
-                    *l = (*l + log_odds).clamp(clamp.0, clamp.1);
-                });
-            }
-            out
-        }
-
-        /// The leaf log-odds containing `point`, when observed.
-        pub fn leaf_log_odds(&self, point: &Vec3) -> Option<f64> {
-            let mut node = self.root.as_ref()?;
-            let mut center = Vec3::ZERO;
-            let mut half = self.half_extent;
-            for _ in 0..self.depth {
-                match node {
-                    Node::Leaf { log_odds } => return Some(*log_odds),
-                    Node::Inner { children } => {
-                        let (idx, child_center) = child_of(point, &center, half);
-                        node = children[idx].as_ref()?;
-                        center = child_center;
-                        half /= 2.0;
-                    }
-                }
-            }
-            match node {
-                Node::Leaf { log_odds } => Some(*log_odds),
-                Node::Inner { .. } => None,
-            }
-        }
-
-        fn in_domain(&self, point: &Vec3) -> bool {
-            point.x.abs() <= self.half_extent
-                && point.y.abs() <= self.half_extent
-                && point.z.abs() <= self.half_extent
-        }
-
-        fn update_leaf<F: FnOnce(&mut f64)>(&mut self, point: &Vec3, apply: F) {
-            if !self.in_domain(point) {
-                return;
-            }
-            let depth = self.depth;
-            let half = self.half_extent;
-            let root = self.root.get_or_insert_with(Node::new_inner);
-            Self::update_recursive(root, point, apply, Vec3::ZERO, half, depth);
-        }
-
-        fn update_recursive<F: FnOnce(&mut f64)>(
-            node: &mut Node,
-            point: &Vec3,
-            apply: F,
-            center: Vec3,
-            half: f64,
-            remaining_depth: u32,
-        ) {
-            if remaining_depth == 0 {
-                match node {
-                    Node::Leaf { log_odds } => apply(log_odds),
-                    Node::Inner { .. } => {
-                        let mut log_odds = 0.0;
-                        apply(&mut log_odds);
-                        *node = Node::Leaf { log_odds };
-                    }
-                }
-                return;
-            }
-            match node {
-                Node::Leaf { log_odds } => {
-                    // A coarse leaf observed at a shallower depth: refine it
-                    // by pushing its value down (simple expansion).
-                    let existing = *log_odds;
-                    *node = Node::new_inner();
-                    let Node::Inner { children } = node else {
-                        unreachable!("node was just replaced by an inner node");
-                    };
-                    let (idx, child_center) = child_of(point, &center, half);
-                    let child = children[idx].get_or_insert(Node::Leaf { log_odds: existing });
-                    Self::update_recursive(
-                        child,
-                        point,
-                        apply,
-                        child_center,
-                        half / 2.0,
-                        remaining_depth - 1,
-                    );
-                }
-                Node::Inner { children } => {
-                    let (idx, child_center) = child_of(point, &center, half);
-                    let child = children[idx].get_or_insert_with(|| {
-                        if remaining_depth == 1 {
-                            Node::Leaf { log_odds: 0.0 }
-                        } else {
-                            Node::new_inner()
-                        }
-                    });
-                    Self::update_recursive(
-                        child,
-                        point,
-                        apply,
-                        child_center,
-                        half / 2.0,
-                        remaining_depth - 1,
-                    );
-                }
-            }
-        }
-
-        /// Every observed leaf's (centre, log-odds), deduplicated by rounded
-        /// voxel key (last wins, pre-order walk order) and sorted by
-        /// coordinates — the old `collect_leaves` verbatim.
-        pub fn collect(&self) -> Vec<(Vec3, f64)> {
-            let mut out = Vec::new();
-            if let Some(root) = &self.root {
-                Self::collect_recursive(root, Vec3::ZERO, self.half_extent, &mut out);
-            }
-            let mut dedup: HashMap<(i64, i64, i64), (Vec3, f64)> = HashMap::new();
-            for (c, l) in out {
-                let key = (
-                    (c.x / self.config.resolution).round() as i64,
-                    (c.y / self.config.resolution).round() as i64,
-                    (c.z / self.config.resolution).round() as i64,
-                );
-                dedup.insert(key, (c, l));
-            }
-            let mut v: Vec<(Vec3, f64)> = dedup.into_values().collect();
-            // Same comparator-equivalence argument as `collect_leaves`:
-            // (k + ½)·resolution centres are finite, never ±0.0, distinct.
-            v.sort_by(|a, b| {
-                a.0.x
-                    .total_cmp(&b.0.x)
-                    .then(a.0.y.total_cmp(&b.0.y))
-                    .then(a.0.z.total_cmp(&b.0.z))
-            });
-            v
-        }
-
-        fn collect_recursive(node: &Node, center: Vec3, half: f64, out: &mut Vec<(Vec3, f64)>) {
-            match node {
-                Node::Leaf { log_odds } => out.push((center, *log_odds)),
-                Node::Inner { children } => {
-                    let quarter = half / 2.0;
-                    for (idx, child) in children.iter().enumerate() {
-                        if let Some(child) = child {
-                            let mut c = center;
-                            c.x += if idx & 1 != 0 { quarter } else { -quarter };
-                            c.y += if idx & 2 != 0 { quarter } else { -quarter };
-                            c.z += if idx & 4 != 0 { quarter } else { -quarter };
-                            Self::collect_recursive(child, c, quarter, out);
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The pre-index query paths: per-voxel tree descents and full tree
+    /// walks. They are the executable specifications the indexed queries,
+    /// the O(1) counters and the free/occupied centre indexes are tested
+    /// against.
+    impl OctoMap {
+        /// The pre-index inflation query: one full octree descent per voxel
+        /// of the inflation cube.
+        fn is_occupied_with_inflation_reference(&self, point: &Vec3, radius: f64) -> bool {
+            let r = radius.max(0.0);
+            let steps = (r / self.config.resolution).ceil() as i64;
+            let center_idx = self.grid.index_of(point);
+            for dx in -steps..=steps {
+                for dy in -steps..=steps {
+                    for dz in -steps..=steps {
+                        let idx =
+                            GridIndex::new(center_idx.x + dx, center_idx.y + dy, center_idx.z + dz);
+                        let c = self.grid.center_of(&idx);
+                        if c.distance(point) <= r + self.config.resolution * 0.87
+                            && self.query(&c) == Occupancy::Occupied
+                        {
+                            return true;
+                        }
+                    }
+                }
+            }
+            false
+        }
+
+        /// The pre-index swept-segment predicate: a point sample every
+        /// half-resolution, each paying a full inflation-cube tree scan.
+        fn segment_free_reference(&self, a: &Vec3, b: &Vec3, radius: f64) -> bool {
+            let dist = a.distance(b);
+            let step = (self.config.resolution * 0.5).max(0.05);
+            let samples = ((dist / step).ceil() as usize).max(1);
+            for i in 0..=samples {
+                let t = i as f64 / samples as f64;
+                let p = a.lerp(b, t);
+                if self.is_occupied_with_inflation_reference(&p, radius) {
+                    return false;
+                }
+            }
+            true
+        }
+
+        /// [`OctoMap::occupied_voxel_count`] recomputed by a full tree walk.
+        /// Caveat inherited from the `collect_leaves` walk: at non-dyadic
+        /// resolutions the walk can merge adjacent leaves whose noisy centres
+        /// round to the same key, so it may run a few voxels *below* the exact
+        /// per-leaf count the collision queries (and the O(1) counter) use;
+        /// at dyadic resolutions the two agree exactly.
+        fn occupied_voxel_count_scan(&self) -> usize {
+            self.collect_leaves()
+                .iter()
+                .filter(|(_, l)| *l > self.config.occupied_threshold)
+                .count()
+        }
+
+        /// [`OctoMap::known_voxel_count`] recomputed by a full tree walk.
+        fn known_voxel_count_scan(&self) -> usize {
+            self.collect_leaves().len()
+        }
+
+        /// [`OctoMap::free_voxel_centers`] recomputed by a full tree walk.
+        fn free_voxel_centers_scan(&self) -> Vec<Vec3> {
+            self.collect_leaves()
+                .into_iter()
+                .filter(|(_, l)| *l <= self.config.occupied_threshold)
+                .map(|(c, _)| c)
+                .collect()
+        }
+
+        /// [`OctoMap::occupied_voxel_centers`] recomputed by a full tree walk.
+        fn occupied_voxel_centers_scan(&self) -> Vec<Vec3> {
+            self.collect_leaves()
+                .into_iter()
+                .filter(|(_, l)| *l > self.config.occupied_threshold)
+                .map(|(c, _)| c)
+                .collect()
+        }
+    }
+
+    /// The pre-arena pointer-chasing octree, kept as a differential oracle:
+    /// every node is a separate heap allocation reached through
+    /// `Vec<Option<Node>>` child pointers, exactly the layout the arena
+    /// replaced. The equivalence proptests drive [`reference::ReferenceMap`]
+    /// and [`OctoMap`] with the same ray sequences and compare per-point
+    /// log-odds and full leaf collections, so any behavioural drift in the
+    /// arena descent shows up as a differential failure rather than a silent
+    /// golden change.
+    mod reference {
+        use crate::octomap::{child_of, OctoMap, OctoMapConfig};
+        use mav_types::{GridSpec, Vec3};
+        use std::collections::HashMap;
+
+        #[derive(Debug, Clone)]
+        enum Node {
+            Leaf { log_odds: f64 },
+            Inner { children: Vec<Option<Node>> },
+        }
+
+        impl Node {
+            fn new_inner() -> Self {
+                Node::Inner {
+                    children: vec![None; 8],
+                }
+            }
+        }
+
+        /// Pointer-tree occupancy map with the old (pre-arena) update and
+        /// collection logic, reduced to the surface the differential tests need.
+        #[derive(Debug, Clone)]
+        pub struct ReferenceMap {
+            config: OctoMapConfig,
+            half_extent: f64,
+            depth: u32,
+            grid: GridSpec,
+            root: Option<Node>,
+        }
+
+        impl ReferenceMap {
+            /// Shares [`OctoMap::new`]'s domain alignment so both maps agree
+            /// on leaf geometry.
+            pub fn new(config: OctoMapConfig, half_extent: f64) -> Self {
+                let (depth, half_extent) = OctoMap::aligned_domain(config.resolution, half_extent);
+                ReferenceMap {
+                    grid: GridSpec::new(config.resolution),
+                    config,
+                    half_extent,
+                    depth,
+                    root: None,
+                }
+            }
+
+            /// Integrates one sensor ray with the shared ray enumeration, so the
+            /// oracle and the arena can only diverge in their *tree* logic.
+            pub fn insert_ray(&mut self, origin: &Vec3, endpoint: &Vec3) {
+                let (grid, config, half_extent) = (self.grid, self.config, self.half_extent);
+                let clamp = config.clamp;
+                OctoMap::for_each_ray_update(
+                    grid,
+                    config,
+                    half_extent,
+                    origin,
+                    endpoint,
+                    |_cell, center, delta| {
+                        self.update_leaf(&center, move |log_odds| {
+                            *log_odds = (*log_odds + delta).clamp(clamp.0, clamp.1);
+                        });
+                    },
+                );
+            }
+
+            /// Rebuilds the observations at a different resolution — the old
+            /// `OctoMap::reresolved` verbatim (collect, then re-apply each leaf's
+            /// log-odds as one clamped delta into the new tree).
+            pub fn reresolved(&self, new_resolution: f64) -> ReferenceMap {
+                let mut config = self.config;
+                config.resolution = new_resolution;
+                let clamp = config.clamp;
+                let mut out = ReferenceMap::new(config, self.half_extent);
+                for (center, log_odds) in self.collect() {
+                    out.update_leaf(&center, move |l| {
+                        *l = (*l + log_odds).clamp(clamp.0, clamp.1);
+                    });
+                }
+                out
+            }
+
+            /// The leaf log-odds containing `point`, when observed.
+            pub fn leaf_log_odds(&self, point: &Vec3) -> Option<f64> {
+                let mut node = self.root.as_ref()?;
+                let mut center = Vec3::ZERO;
+                let mut half = self.half_extent;
+                for _ in 0..self.depth {
+                    match node {
+                        Node::Leaf { log_odds } => return Some(*log_odds),
+                        Node::Inner { children } => {
+                            let (idx, child_center) = child_of(point, &center, half);
+                            node = children[idx].as_ref()?;
+                            center = child_center;
+                            half /= 2.0;
+                        }
+                    }
+                }
+                match node {
+                    Node::Leaf { log_odds } => Some(*log_odds),
+                    Node::Inner { .. } => None,
+                }
+            }
+
+            fn in_domain(&self, point: &Vec3) -> bool {
+                point.x.abs() <= self.half_extent
+                    && point.y.abs() <= self.half_extent
+                    && point.z.abs() <= self.half_extent
+            }
+
+            fn update_leaf<F: FnOnce(&mut f64)>(&mut self, point: &Vec3, apply: F) {
+                if !self.in_domain(point) {
+                    return;
+                }
+                let depth = self.depth;
+                let half = self.half_extent;
+                let root = self.root.get_or_insert_with(Node::new_inner);
+                Self::update_recursive(root, point, apply, Vec3::ZERO, half, depth);
+            }
+
+            fn update_recursive<F: FnOnce(&mut f64)>(
+                node: &mut Node,
+                point: &Vec3,
+                apply: F,
+                center: Vec3,
+                half: f64,
+                remaining_depth: u32,
+            ) {
+                if remaining_depth == 0 {
+                    match node {
+                        Node::Leaf { log_odds } => apply(log_odds),
+                        Node::Inner { .. } => {
+                            let mut log_odds = 0.0;
+                            apply(&mut log_odds);
+                            *node = Node::Leaf { log_odds };
+                        }
+                    }
+                    return;
+                }
+                match node {
+                    Node::Leaf { log_odds } => {
+                        // A coarse leaf observed at a shallower depth: refine it
+                        // by pushing its value down (simple expansion).
+                        let existing = *log_odds;
+                        *node = Node::new_inner();
+                        let Node::Inner { children } = node else {
+                            unreachable!("node was just replaced by an inner node");
+                        };
+                        let (idx, child_center) = child_of(point, &center, half);
+                        let child = children[idx].get_or_insert(Node::Leaf { log_odds: existing });
+                        Self::update_recursive(
+                            child,
+                            point,
+                            apply,
+                            child_center,
+                            half / 2.0,
+                            remaining_depth - 1,
+                        );
+                    }
+                    Node::Inner { children } => {
+                        let (idx, child_center) = child_of(point, &center, half);
+                        let child = children[idx].get_or_insert_with(|| {
+                            if remaining_depth == 1 {
+                                Node::Leaf { log_odds: 0.0 }
+                            } else {
+                                Node::new_inner()
+                            }
+                        });
+                        Self::update_recursive(
+                            child,
+                            point,
+                            apply,
+                            child_center,
+                            half / 2.0,
+                            remaining_depth - 1,
+                        );
+                    }
+                }
+            }
+
+            /// Every observed leaf's (centre, log-odds), deduplicated by rounded
+            /// voxel key (last wins, pre-order walk order) and sorted by
+            /// coordinates — the old `collect_leaves` verbatim.
+            pub fn collect(&self) -> Vec<(Vec3, f64)> {
+                let mut out = Vec::new();
+                if let Some(root) = &self.root {
+                    Self::collect_recursive(root, Vec3::ZERO, self.half_extent, &mut out);
+                }
+                let mut dedup: HashMap<(i64, i64, i64), (Vec3, f64)> = HashMap::new();
+                for (c, l) in out {
+                    let key = (
+                        (c.x / self.config.resolution).round() as i64,
+                        (c.y / self.config.resolution).round() as i64,
+                        (c.z / self.config.resolution).round() as i64,
+                    );
+                    dedup.insert(key, (c, l));
+                }
+                let mut v: Vec<(Vec3, f64)> = dedup.into_values().collect();
+                // Same comparator-equivalence argument as `collect_leaves`:
+                // (k + ½)·resolution centres are finite, never ±0.0, distinct.
+                v.sort_by(|a, b| {
+                    a.0.x
+                        .total_cmp(&b.0.x)
+                        .then(a.0.y.total_cmp(&b.0.y))
+                        .then(a.0.z.total_cmp(&b.0.z))
+                });
+                v
+            }
+
+            fn collect_recursive(node: &Node, center: Vec3, half: f64, out: &mut Vec<(Vec3, f64)>) {
+                match node {
+                    Node::Leaf { log_odds } => out.push((center, *log_odds)),
+                    Node::Inner { children } => {
+                        let quarter = half / 2.0;
+                        for (idx, child) in children.iter().enumerate() {
+                            if let Some(child) = child {
+                                let mut c = center;
+                                c.x += if idx & 1 != 0 { quarter } else { -quarter };
+                                c.y += if idx & 2 != 0 { quarter } else { -quarter };
+                                c.z += if idx & 4 != 0 { quarter } else { -quarter };
+                                Self::collect_recursive(child, c, quarter, out);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     fn small_map(resolution: f64) -> OctoMap {
         OctoMap::new(OctoMapConfig::with_resolution(resolution), 32.0)
@@ -2268,7 +2232,7 @@ mod tests {
     fn reresolving_preserves_occupancy_coarsely() {
         let mut fine = small_map(0.25);
         fine.insert_ray(&Vec3::new(0.0, 0.0, 1.0), &Vec3::new(6.0, 0.0, 1.0));
-        let coarse = fine.reresolved(1.0);
+        let coarse = fine.reresolved(1.0).unwrap();
         assert_eq!(coarse.resolution(), 1.0);
         assert_eq!(coarse.query(&Vec3::new(6.0, 0.0, 1.0)), Occupancy::Occupied);
         assert_ne!(coarse.query(&Vec3::new(3.0, 0.0, 1.0)), Occupancy::Occupied);
@@ -2335,23 +2299,64 @@ mod tests {
     }
 
     #[test]
-    fn unpackable_domain_falls_back_to_reference_queries() {
+    fn check_domain_rejects_domains_the_voxel_keys_cannot_hold() {
         // A multi-km domain at mm resolution exceeds the 21-bit voxel-key
-        // packing: the occupied-voxel index must disable itself and every
-        // query keep answering (identically) via the tree.
-        let mut map = OctoMap::new(OctoMapConfig::with_resolution(0.001), 1500.0);
-        let origin = Vec3::new(0.0, 0.0, 0.0105);
-        let hit = Vec3::new(0.05, 0.0, 0.0105);
-        map.insert_ray(&origin, &hit);
-        assert_eq!(map.query(&hit), Occupancy::Occupied);
-        assert!(map.is_occupied_with_inflation(&hit, 0.002));
-        assert_eq!(
-            map.is_occupied_with_inflation(&hit, 0.002),
-            map.is_occupied_with_inflation_reference(&hit, 0.002)
+        // packing; the largest shipped world does not come close.
+        assert!(OctoMap::check_domain(0.001, 1500.0).is_err());
+        assert_eq!(OctoMap::check_domain(0.15, 125.0), Ok(()));
+        // The widened power-of-two domain decides: 2^19 voxels per half-axis
+        // stay 2^19, one voxel more widens to 2^20.
+        let half = (1u64 << 19) as f64;
+        assert_eq!(OctoMap::check_domain(0.5, 0.5 * half), Ok(()));
+        assert!(OctoMap::check_domain(0.5, 0.5 * (half + 1.0)).is_err());
+        for (resolution, half_extent) in [
+            (0.0, 10.0),
+            (-0.5, 10.0),
+            (f64::NAN, 10.0),
+            (f64::INFINITY, 10.0),
+            (0.5, 0.0),
+            (0.5, -10.0),
+            (0.5, f64::NAN),
+            (0.5, f64::INFINITY),
+            (0.5, 1e300),
+        ] {
+            assert!(
+                OctoMap::check_domain(resolution, half_extent).is_err(),
+                "accepted {resolution} m / {half_extent} m"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid map domain")]
+    fn new_rejects_an_unpackable_domain() {
+        let _ = OctoMap::new(OctoMapConfig::with_resolution(0.001), 1500.0);
+    }
+
+    #[test]
+    fn alternating_reresolution_stops_at_the_key_range() {
+        // Each rebuild covers the previous aligned cube, so 0.8 m ↔ 0.15 m
+        // round trips keep doubling the domain until it no longer packs.
+        let mut map = OctoMap::new(OctoMapConfig::with_resolution(0.8), 50.0);
+        map.insert_ray(&Vec3::new(0.0, 0.0, 1.0), &Vec3::new(6.0, 0.0, 1.0));
+        let mut switches = 0;
+        let refused = loop {
+            let next = if switches % 2 == 0 { 0.15 } else { 0.8 };
+            match map.reresolved(next) {
+                Ok(rebuilt) => {
+                    assert!(rebuilt.domain().max.x >= map.domain().max.x);
+                    map = rebuilt;
+                    switches += 1;
+                    assert!(switches < 64, "domain never outgrew the keys");
+                }
+                Err(reason) => break reason,
+            }
+        };
+        assert!(
+            switches > 10,
+            "refused after {switches} switches: {refused}"
         );
-        assert!(!map.segment_free(&origin, &hit, 0.001));
         assert_eq!(map.occupied_voxel_count(), 1);
-        assert_eq!(map.known_voxel_count(), map.known_voxel_count_scan());
     }
 
     #[test]
@@ -2371,7 +2376,7 @@ mod tests {
     /// sets and counters against the pointer-tree oracle and the serial /
     /// tree-walk references.
     mod equivalence {
-        use super::super::reference::ReferenceMap;
+        use super::reference::ReferenceMap;
         use super::*;
         use proptest::prelude::*;
 
@@ -2381,6 +2386,15 @@ mod tests {
 
         fn arb_point(extent: f64) -> impl Strategy<Value = Vec3> {
             (-extent..extent, -extent..extent, 0.0..6.0).prop_map(|(x, y, z)| Vec3::new(x, y, z))
+        }
+
+        /// The exact f64 bit patterns of `centers`, so comparisons see the
+        /// bits a golden mission would.
+        fn center_bits(centers: &[Vec3]) -> Vec<[u64; 3]> {
+            centers
+                .iter()
+                .map(|c| [c.x.to_bits(), c.y.to_bits(), c.z.to_bits()])
+                .collect()
         }
 
         /// Builds the arena map and the pointer-tree oracle from the same
@@ -2420,7 +2434,7 @@ mod tests {
                 // Survives resolution switching (the dynamic-resolution
                 // policy) and further insertion on the rebuilt maps.
                 let new_res = RESOLUTIONS[new_res_idx % RESOLUTIONS.len()];
-                arena = arena.reresolved(new_res);
+                arena = arena.reresolved(new_res).unwrap();
                 tree = tree.reresolved(new_res);
                 let origin = Vec3::new(0.0, 0.0, 1.5);
                 for endpoint in &more_rays {
@@ -2448,12 +2462,18 @@ mod tests {
                 // at non-dyadic resolutions (rounded-key collisions merge
                 // scan leaves) — the seed suite pins "never undercounts",
                 // so that is the exact relation asserted here too.
-                prop_assert_eq!(arena.free_voxel_centers(), arena.free_voxel_centers_scan());
+                prop_assert_eq!(
+                    center_bits(&arena.free_voxel_centers()),
+                    center_bits(&arena.free_voxel_centers_scan())
+                );
                 prop_assert_eq!(arena.known_voxel_count(), arena.known_voxel_count_scan());
                 prop_assert!(arena.occupied_voxel_count() >= arena.occupied_voxel_count_scan());
                 let new_res = RESOLUTIONS[new_res_idx % RESOLUTIONS.len()];
-                arena = arena.reresolved(new_res);
-                prop_assert_eq!(arena.free_voxel_centers(), arena.free_voxel_centers_scan());
+                arena = arena.reresolved(new_res).unwrap();
+                prop_assert_eq!(
+                    center_bits(&arena.free_voxel_centers()),
+                    center_bits(&arena.free_voxel_centers_scan())
+                );
                 prop_assert_eq!(arena.known_voxel_count(), arena.known_voxel_count_scan());
                 prop_assert!(arena.occupied_voxel_count() >= arena.occupied_voxel_count_scan());
             }
@@ -2506,6 +2526,73 @@ mod tests {
                     map.insert_ray(&origin, endpoint);
                 }
                 prop_assert_eq!(map.occupied_voxel_centers(), map.occupied_voxel_centers_scan());
+            }
+
+            /// The indexed inflation query, and the blocking voxel it
+            /// reports, decide exactly like the per-voxel tree scan for
+            /// arbitrary maps, query points and radii — also after a
+            /// reresolve → insert chain has rebuilt and then updated the
+            /// index.
+            #[test]
+            fn inflation_query_matches_reference(
+                res_idx in 0usize..RESOLUTIONS.len(),
+                new_res_idx in 0usize..RESOLUTIONS.len(),
+                before in proptest::collection::vec(arb_point(20.0), 1..40),
+                after in proptest::collection::vec(arb_point(20.0), 1..24),
+                queries in proptest::collection::vec(arb_point(24.0), 1..24),
+                radius in 0.0f64..2.5,
+            ) {
+                let (mut map, _) = paired_maps(res_idx, &before);
+                for round in 0..2 {
+                    if round == 1 {
+                        map = map.reresolved(RESOLUTIONS[new_res_idx % RESOLUTIONS.len()]).unwrap();
+                        let origin = Vec3::new(0.0, 0.0, 1.5);
+                        for endpoint in &after {
+                            map.insert_ray(&origin, endpoint);
+                        }
+                        prop_assert_eq!(map.known_voxel_count(), map.known_voxel_count_scan());
+                    }
+                    for q in &queries {
+                        let reference = map.is_occupied_with_inflation_reference(q, radius);
+                        prop_assert_eq!(
+                            map.is_occupied_with_inflation(q, radius),
+                            reference,
+                            "round {}: inflation decision diverged at {} (radius {})",
+                            round,
+                            q,
+                            radius
+                        );
+                        prop_assert_eq!(
+                            map.blocking_voxel_with_inflation(q, radius).is_some(),
+                            reference
+                        );
+                    }
+                }
+            }
+
+            /// The DDA-prefiltered swept-segment predicate, and the blocking
+            /// voxel it reports, decide exactly like the sampled tree-scan
+            /// predicate.
+            #[test]
+            fn segment_free_matches_reference(
+                res_idx in 0usize..RESOLUTIONS.len(),
+                rays in proptest::collection::vec(arb_point(20.0), 1..40),
+                segments in proptest::collection::vec((arb_point(24.0), arb_point(24.0)), 1..12),
+                radius in 0.0f64..1.5,
+            ) {
+                let (map, _) = paired_maps(res_idx, &rays);
+                for (a, b) in &segments {
+                    let reference = map.segment_free_reference(a, b, radius);
+                    prop_assert_eq!(
+                        map.segment_free(a, b, radius),
+                        reference,
+                        "segment decision diverged on {} -> {} (radius {})",
+                        a,
+                        b,
+                        radius
+                    );
+                    prop_assert_eq!(map.segment_blocking_voxel(a, b, radius).is_none(), reference);
+                }
             }
 
             /// A cleared (or reshaped) map is bit-identical to a fresh one
@@ -2570,6 +2657,53 @@ mod tests {
                     prop_assert_eq!(parallel.free_voxel_centers(), serial.free_voxel_centers());
                 }
             }
+        }
+
+        /// The O(1) counters match the full tree walk on a deterministic
+        /// dyadic-resolution scenario covering rays, a dense scan on the
+        /// batched insertion path and the dynamic-resolution rebuild.
+        #[test]
+        fn counters_match_tree_walk() {
+            let mut map = OctoMap::new(OctoMapConfig::with_resolution(0.5), 32.0);
+            let origin = Vec3::new(0.0, 0.0, 1.0);
+            for i in -12..=12 {
+                for z in [0.5, 1.0, 1.5, 2.0] {
+                    map.insert_ray(&origin, &Vec3::new(10.0, i as f64 * 0.5, z));
+                }
+            }
+            // Dense enough for the batched path (points × res² ≥ 250).
+            let mut points = Vec::new();
+            for iy in -40..=40 {
+                for iz in 0..14 {
+                    points.push(Vec3::new(12.0, iy as f64 * 0.25, iz as f64 * 0.3));
+                }
+            }
+            map.insert_point_cloud(&PointCloud::new(origin, points));
+            assert_eq!(map.known_voxel_count(), map.known_voxel_count_scan());
+            assert_eq!(map.occupied_voxel_count(), map.occupied_voxel_count_scan());
+            // Query equivalence holds on a batched-built map too.
+            for (a, b) in [
+                (Vec3::new(-5.0, -8.0, 1.0), Vec3::new(14.0, 8.0, 2.0)),
+                (Vec3::new(0.0, 0.0, 1.0), Vec3::new(9.0, 0.0, 1.0)),
+            ] {
+                assert_eq!(
+                    map.segment_free(&a, &b, 0.33),
+                    map.segment_free_reference(&a, &b, 0.33)
+                );
+            }
+            assert!(map.occupied_voxel_count() > 50);
+            assert!(map.known_voxel_count() > map.occupied_voxel_count());
+
+            let coarse = map.reresolved(1.0).unwrap();
+            assert_eq!(coarse.known_voxel_count(), coarse.known_voxel_count_scan());
+            assert_eq!(
+                coarse.occupied_voxel_count(),
+                coarse.occupied_voxel_count_scan()
+            );
+
+            let empty = OctoMap::new(OctoMapConfig::default(), 32.0);
+            assert_eq!(empty.known_voxel_count(), 0);
+            assert_eq!(empty.occupied_voxel_count(), 0);
         }
     }
 }

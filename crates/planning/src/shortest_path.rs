@@ -77,12 +77,6 @@ pub struct PlannerConfig {
     pub goal_tolerance: f64,
     /// RNG seed.
     pub seed: u64,
-    /// Use the uniform-grid bucket index ([`crate::spatial::PointGrid`]) for
-    /// RRT nearest-neighbour and PRM radius-connection. The index is exact,
-    /// so planned paths are identical either way; `false` restores the
-    /// brute-force O(n²) loops (kept for equivalence tests and A/B
-    /// benchmarking).
-    pub spatial_index: bool,
 }
 
 impl PlannerConfig {
@@ -96,19 +90,12 @@ impl PlannerConfig {
             goal_bias: 0.1,
             goal_tolerance: 1.0,
             seed: 7,
-            spatial_index: true,
         }
     }
 
     /// Overrides the RNG seed (builder style).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Enables or disables the bucketed neighbour index (builder style).
-    pub fn with_spatial_index(mut self, enabled: bool) -> Self {
-        self.spatial_index = enabled;
         self
     }
 }
@@ -273,41 +260,22 @@ impl ShortestPathPlanner {
         parents.clear();
         parents.push(0);
         // Bucket index over the tree nodes, sized by the extension step (the
-        // distance nearest-neighbour queries typically resolve at). Exact,
-        // so the grown tree is identical to the linear-scan tree.
-        let mut index = if self.config.spatial_index {
-            let cell = self.config.step.max(1e-6);
-            let mut index = match grid.take() {
-                Some(mut reused) => {
-                    reused.reset(&self.config.bounds, cell);
-                    reused
-                }
-                None => PointGrid::new(&self.config.bounds, cell),
-            };
-            index.insert(start);
-            Some(index)
-        } else {
-            None
+        // distance nearest-neighbour queries typically resolve at). Exact:
+        // it returns the first minimal node a linear scan would.
+        let cell = self.config.step.max(1e-6);
+        let mut index = match grid.take() {
+            Some(mut reused) => {
+                reused.reset(&self.config.bounds, cell);
+                reused
+            }
+            None => PointGrid::new(&self.config.bounds, cell),
         };
+        index.insert(start);
         let mut found: Option<PlannedPath> = None;
         for sample_count in 0..self.config.max_samples {
             let target = self.sample(&mut rng, &goal);
             // Nearest node in the tree.
-            let nearest_idx = match &index {
-                Some(index) => index.nearest(&target).expect("tree is never empty"),
-                // `total_cmp` ≡ the historical `partial_cmp().expect()`:
-                // squared distances are finite non-negative, so the NaN/±0.0
-                // cases where the comparators differ never reach the sort.
-                None => nodes
-                    .iter()
-                    .enumerate()
-                    .min_by(|a, b| {
-                        a.1.distance_squared(&target)
-                            .total_cmp(&b.1.distance_squared(&target))
-                    })
-                    .map(|(i, _)| i)
-                    .expect("tree is never empty"),
-            };
+            let nearest_idx = index.nearest(&target).expect("tree is never empty");
             let nearest = nodes[nearest_idx];
             // Extend one step towards the sample.
             let dist = nearest.distance(&target);
@@ -321,9 +289,7 @@ impl ShortestPathPlanner {
             }
             nodes.push(new);
             parents.push(nearest_idx);
-            if let Some(index) = index.as_mut() {
-                index.insert(new);
-            }
+            index.insert(new);
             // Goal check.
             if new.distance(&goal) <= self.config.goal_tolerance
                 && checker.segment_free(map, &new, &goal)
@@ -346,7 +312,7 @@ impl ShortestPathPlanner {
             }
         }
         // Park the bucket index back in the scratch for the next plan.
-        *grid = index;
+        *grid = Some(index);
         found.ok_or_else(|| {
             MavError::planning_failed(
                 "rrt",
@@ -406,54 +372,36 @@ impl ShortestPathPlanner {
             list.clear();
         }
         adjacency.resize_with(vertices.len(), Vec::new);
-        let index = if self.config.spatial_index {
-            let mut index = match grid.take() {
-                Some(mut reused) => {
-                    reused.reset(&self.config.bounds, radius.max(1e-6));
-                    reused
-                }
-                None => PointGrid::new(&self.config.bounds, radius.max(1e-6)),
-            };
-            for v in vertices.iter() {
-                index.insert(*v);
+        let mut index = match grid.take() {
+            Some(mut reused) => {
+                reused.reset(&self.config.bounds, radius.max(1e-6));
+                reused
             }
-            Some(index)
-        } else {
-            None
+            None => PointGrid::new(&self.config.bounds, radius.max(1e-6)),
         };
+        for v in vertices.iter() {
+            index.insert(*v);
+        }
         for i in 0..vertices.len() {
-            match &index {
-                Some(grid) => {
-                    candidates.clear();
-                    grid.candidates_within(&vertices[i], radius, candidates);
-                    candidates.sort_unstable();
-                    for &j in candidates.iter() {
-                        let j = j as usize;
-                        if j <= i {
-                            continue;
-                        }
-                        let d = vertices[i].distance(&vertices[j]);
-                        if d <= radius && checker.segment_free(map, &vertices[i], &vertices[j]) {
-                            adjacency[i].push((j, d));
-                            adjacency[j].push((i, d));
-                        }
-                    }
+            candidates.clear();
+            index.candidates_within(&vertices[i], radius, candidates);
+            candidates.sort_unstable();
+            for &j in candidates.iter() {
+                let j = j as usize;
+                if j <= i {
+                    continue;
                 }
-                None => {
-                    for j in (i + 1)..vertices.len() {
-                        let d = vertices[i].distance(&vertices[j]);
-                        if d <= radius && checker.segment_free(map, &vertices[i], &vertices[j]) {
-                            adjacency[i].push((j, d));
-                            adjacency[j].push((i, d));
-                        }
-                    }
+                let d = vertices[i].distance(&vertices[j]);
+                if d <= radius && checker.segment_free(map, &vertices[i], &vertices[j]) {
+                    adjacency[i].push((j, d));
+                    adjacency[j].push((i, d));
                 }
             }
         }
         // A* from vertex 0 (start) to vertex 1 (goal).
         let found = astar(vertices, adjacency, 0, 1);
         // Park the bucket index back in the scratch for the next plan.
-        *grid = index;
+        *grid = Some(index);
         let path_indices = found.ok_or_else(|| {
             MavError::planning_failed("prm-astar", "roadmap does not connect start and goal")
         })?;

@@ -194,6 +194,22 @@ fn malformed_specs_get_400_with_json_error_body() {
             r#"{"type":"sweep","scenario":{"application":"scanning","rates":[]},"episodes":4}"#,
             "non-empty",
         ),
+        (
+            r#"{"type":"mission","config":{"application":"3d_mapping","resolution_policy":1e-5}}"#,
+            "map domain too large",
+        ),
+        (
+            r#"{"type":"mission","config":{"application":"3d_mapping","resolution_policy":{"kind":"dynamic","outdoor":0.8,"indoor":1e-5,"density_threshold":0.02}}}"#,
+            "map domain too large",
+        ),
+        (
+            r#"{"type":"mission","config":{"application":"scanning","environment":{"extent":-100.0}}}"#,
+            "environment.extent",
+        ),
+        (
+            r#"{"type":"sweep","scenario":{"application":"scanning","extents":[-5.0]},"episodes":4}"#,
+            "extents",
+        ),
     ] {
         let reply = client.send("POST", "/jobs", body);
         assert_eq!(reply.status, 400, "spec {body} → {}", reply.body);

@@ -15,8 +15,8 @@
 //! (including the first-minimal-index tie-break), and `candidates_within`
 //! returns a superset of every point within the radius, so callers that
 //! re-test the true distance reproduce the brute-force decision exactly.
-//! The planners rely on this to keep planned paths identical with the index
-//! on or off.
+//! The planners rely on this: they plan exactly the paths their brute-force
+//! O(n²) loops planned.
 
 use crate::{Aabb, Vec3};
 use serde::{Deserialize, Serialize};
