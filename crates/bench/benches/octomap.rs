@@ -1,8 +1,9 @@
 //! Criterion benches for the OctoMap kernel: insertion cost vs resolution
-//! (the measured counterpart of Fig. 18), query cost, batched/parallel scan
-//! insertion, frontier extraction (the free-voxel index and the frontier
-//! search built on it) and a whole mapping-mission episode (the
-//! episodes/sec figure the ROADMAP's Monte-Carlo item tracks).
+//! (the measured counterpart of Fig. 18, on mission-sized and dense 128×96
+//! scans), query cost, serial vs parallel warm scan insertion, frontier
+//! extraction (the free-voxel index and the frontier search built on it) and
+//! a whole mapping-mission episode (the episodes/sec figure the ROADMAP's
+//! Monte-Carlo item tracks).
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mav_core::{run_mission, run_mission_with_scratch, EpisodeScratch, MissionConfig};
 use mav_env::EnvironmentConfig;
@@ -11,9 +12,9 @@ use mav_planning::FrontierExplorer;
 use mav_sensors::{DepthCamera, DepthCameraConfig};
 use mav_types::{Pose, Vec3};
 
-fn capture_clouds() -> Vec<PointCloud> {
+fn capture_clouds(camera: DepthCameraConfig) -> Vec<PointCloud> {
     let world = EnvironmentConfig::urban_outdoor().with_seed(3).generate();
-    let camera = DepthCamera::new(DepthCameraConfig::default());
+    let camera = DepthCamera::new(camera);
     (0..3)
         .map(|i| {
             let pose = Pose::new(Vec3::new(i as f64 * 8.0 - 8.0, 0.0, 2.5), i as f64);
@@ -22,30 +23,40 @@ fn capture_clouds() -> Vec<PointCloud> {
         .collect()
 }
 
+/// Cold insertion of three scans into a fresh map. The `dense_128x96` arm
+/// uses Fig. 18's camera: its near voxels are crossed by many rays each, so
+/// most crossings update an existing leaf.
 fn bench_octomap_insertion(c: &mut Criterion) {
-    let clouds = capture_clouds();
+    let clouds = capture_clouds(DepthCameraConfig::default());
+    let dense = capture_clouds(DepthCameraConfig::high_resolution());
+    let cold_insert = |clouds: &[PointCloud], res: f64| {
+        let mut map = OctoMap::new(OctoMapConfig::with_resolution(res), 96.0);
+        for cloud in clouds {
+            map.insert_point_cloud(cloud);
+        }
+        map.known_voxel_count()
+    };
     let mut group = c.benchmark_group("octomap_insert_vs_resolution");
     group.sample_size(10);
     for resolution in [0.15, 0.3, 0.5, 0.8, 1.0] {
         group.bench_with_input(
             BenchmarkId::from_parameter(resolution),
             &resolution,
-            |b, &res| {
-                b.iter(|| {
-                    let mut map = OctoMap::new(OctoMapConfig::with_resolution(res), 96.0);
-                    for cloud in &clouds {
-                        map.insert_point_cloud(cloud);
-                    }
-                    map.known_voxel_count()
-                })
-            },
+            |b, &res| b.iter(|| cold_insert(&clouds, res)),
+        );
+    }
+    for resolution in [0.3, 1.0] {
+        group.bench_with_input(
+            BenchmarkId::new("dense_128x96", resolution),
+            &resolution,
+            |b, &res| b.iter(|| cold_insert(&dense, res)),
         );
     }
     group.finish();
 }
 
 fn bench_octomap_queries(c: &mut Criterion) {
-    let clouds = capture_clouds();
+    let clouds = capture_clouds(DepthCameraConfig::default());
     let mut map = OctoMap::new(OctoMapConfig::with_resolution(0.5), 96.0);
     for cloud in &clouds {
         map.insert_point_cloud(cloud);
@@ -69,7 +80,7 @@ fn bench_octomap_queries(c: &mut Criterion) {
 /// node allocation). The per-iteration map clone is identical across the
 /// serial/parallel pair, so the pairing isolates the insertion path itself.
 fn bench_scan_insertion(c: &mut Criterion) {
-    let clouds = capture_clouds();
+    let clouds = capture_clouds(DepthCameraConfig::default());
     let mut warm = OctoMap::new(OctoMapConfig::with_resolution(0.3), 96.0);
     for cloud in &clouds {
         warm.insert_point_cloud(cloud);
@@ -108,7 +119,7 @@ fn bench_scan_insertion(c: &mut Criterion) {
 /// clustering pass — exactly what mapping / search-and-rescue tick every
 /// replan.
 fn bench_frontier_extraction(c: &mut Criterion) {
-    let clouds = capture_clouds();
+    let clouds = capture_clouds(DepthCameraConfig::default());
     let mut map = OctoMap::new(OctoMapConfig::with_resolution(0.5), 96.0);
     for cloud in &clouds {
         map.insert_point_cloud(cloud);

@@ -239,7 +239,9 @@ impl EnvironmentConfig {
     }
 
     /// Validates the world dimensions: `extent` and `height` must be finite
-    /// and positive.
+    /// and positive, and so must both bounds of the `obstacle_size` and
+    /// `obstacle_height` ranges, with `min <= max` (the generator samples
+    /// them as inclusive ranges, so `min == max` is a fixed size).
     ///
     /// # Errors
     ///
@@ -249,6 +251,17 @@ impl EnvironmentConfig {
             if !(value.is_finite() && value > 0.0) {
                 return Err(format!(
                     "environment.{name} must be finite and positive, got {value}"
+                ));
+            }
+        }
+        for (name, (min, max)) in [
+            ("obstacle_size", self.obstacle_size),
+            ("obstacle_height", self.obstacle_height),
+        ] {
+            if !(min.is_finite() && max.is_finite() && min > 0.0 && min <= max) {
+                return Err(format!(
+                    "environment.{name} must be a finite, positive [min, max] range \
+                     with min <= max, got [{min}, {max}]"
                 ));
             }
         }
@@ -498,5 +511,47 @@ mod tests {
         assert_eq!(world.bounds().max.z, cfg.height);
         assert_eq!(world.bounds().max.x, cfg.extent);
         assert_eq!(world.name(), "open-field");
+    }
+
+    #[test]
+    fn validate_rejects_ranges_the_generator_cannot_sample() {
+        for cfg in [
+            EnvironmentConfig::default(),
+            EnvironmentConfig::open_field(),
+            EnvironmentConfig::urban_outdoor(),
+            EnvironmentConfig::indoor_outdoor(),
+            EnvironmentConfig::disaster_site(),
+            EnvironmentConfig::park_with_subject(),
+        ] {
+            assert_eq!(cfg.validate(), Ok(()));
+        }
+        // Inclusive ranges: a degenerate range is a fixed size.
+        let fixed = EnvironmentConfig {
+            obstacle_size: (2.0, 2.0),
+            obstacle_height: (4.0, 4.0),
+            ..EnvironmentConfig::default()
+        };
+        assert_eq!(fixed.validate(), Ok(()));
+        fixed.generate();
+        for range in [
+            (6.0, 1.0),
+            (0.0, 1.0),
+            (-1.0, 1.0),
+            (1.0, f64::INFINITY),
+            (f64::NAN, 1.0),
+        ] {
+            let size = EnvironmentConfig {
+                obstacle_size: range,
+                ..EnvironmentConfig::default()
+            };
+            let error = size.validate().unwrap_err();
+            assert!(error.contains("environment.obstacle_size"), "{error}");
+            let height = EnvironmentConfig {
+                obstacle_height: range,
+                ..EnvironmentConfig::default()
+            };
+            let error = height.validate().unwrap_err();
+            assert!(error.contains("environment.obstacle_height"), "{error}");
+        }
     }
 }

@@ -145,8 +145,8 @@ pub struct OctoMap {
     /// references each ([`NIL`] = absent child, high bit set = index into
     /// `leaf_values`, otherwise an index into this vector). The flat layout
     /// replaces the old boxed-enum tree, killing one heap allocation and one
-    /// pointer chase per level on every descent — the cost every query, ray
-    /// insertion and batched scan update used to pay.
+    /// pointer chase per level on every descent — the cost every query and
+    /// ray insertion used to pay.
     nodes: Vec<[u32; 8]>,
     /// Leaf log-odds values, stored inline in a flat pool and referenced by
     /// tagged indices in `nodes`.
@@ -157,7 +157,7 @@ pub struct OctoMap {
     /// Number of leaf updates performed (a proxy for the work the kernel did).
     updates: u64,
     /// Flat spatial index over the occupied leaf voxels, maintained
-    /// incrementally by every leaf update (ray insertion, batched scan
+    /// incrementally by every leaf update (ray insertion, parallel scan
     /// insertion and re-resolution all funnel through
     /// [`OctoMap::update_leaf_apply`]). Keys are [`pack_voxel_key`]s of
     /// 4×4×4-voxel *block* coordinates; values are 64-bit occupancy masks of
@@ -177,14 +177,17 @@ pub struct OctoMap {
     /// [`OctoMap::free_voxel_centers`] filters its values, so frontier
     /// extraction no longer pays a full-tree walk per call.
     known_leaves: HashMap<u64, KnownLeaf, VoxelHashBuilder>,
-    /// Block-bitmask sibling of `occupied_blocks` over *known* (ever-observed)
-    /// leaf voxels: keys are [`pack_voxel_key`]s of 4×4×4-voxel block
-    /// coordinates, values are 64-bit known masks. Leaves are only ever
-    /// created (never removed short of [`OctoMap::clear`]), so maintenance is
-    /// one bit-set per materialised leaf. Frontier extraction answers its
-    /// unknown-neighbour probes from this index instead of one octree descent
-    /// per neighbour voxel.
-    known_blocks: HashMap<u64, u64, VoxelHashBuilder>,
+    /// The known-voxel block table: [`pack_voxel_key`]s of 4×4×4-voxel block
+    /// coordinates → index into `bricks`. Leaves are only ever created (never
+    /// removed short of [`OctoMap::clear`]), so the table is append-only.
+    known_blocks: HashMap<u64, u32, VoxelHashBuilder>,
+    /// One brick per entry of `known_blocks`: slot `x + 4y + 16z` holds the
+    /// leaf-pool index of that voxel's leaf, or [`NIL`] while the voxel is
+    /// unknown. This gives every leaf an O(1) address: ray insertion updates
+    /// an existing leaf with one hash probe instead of a root-to-leaf descent,
+    /// and frontier extraction answers its unknown-neighbour probes without
+    /// descending at all.
+    bricks: Vec<[u32; 64]>,
 }
 
 impl OctoMap {
@@ -209,13 +212,14 @@ impl OctoMap {
             occupied_count: 0,
             known_leaves: HashMap::with_hasher(VoxelHashBuilder::default()),
             known_blocks: HashMap::with_hasher(VoxelHashBuilder::default()),
+            bricks: Vec::new(),
         };
         map.reset(config, half_extent);
         map
     }
 
     /// Empties the map back to the just-constructed state while keeping the
-    /// arena, leaf pool, block-bitmask index and free-voxel index allocations
+    /// arena, leaf pool, block indexes and free-voxel index allocations
     /// (their `Vec`/`HashMap` capacities survive). The domain geometry is
     /// unchanged; use [`OctoMap::reset`] to also reshape it. Because every
     /// mutation funnels through the same leaf-update path and arena indices
@@ -231,6 +235,7 @@ impl OctoMap {
         self.occupied_count = 0;
         self.known_leaves.clear();
         self.known_blocks.clear();
+        self.bricks.clear();
     }
 
     /// [`OctoMap::clear`] plus a domain reshape: recomputes the geometry
@@ -334,11 +339,10 @@ impl OctoMap {
 
     /// Enumerates the in-domain (voxel index, voxel centre, log-odds delta)
     /// updates of one sensor ray, without touching the tree. Shared by
-    /// [`OctoMap::insert_ray`] and the batched
-    /// [`OctoMap::insert_point_cloud`] so the two can never disagree on ray
-    /// semantics (truncation, hit vs miss, domain filtering). An associated
-    /// function over copies of the cheap geometry state, so callers may
-    /// mutate the tree from inside `apply`.
+    /// [`OctoMap::insert_ray`] and the parallel scan grouping so the two can
+    /// never disagree on ray semantics (truncation, hit vs miss, domain
+    /// filtering). An associated function over copies of the cheap geometry
+    /// state, so callers may mutate the tree from inside `apply`.
     fn for_each_ray_update(
         grid: GridSpec,
         config: OctoMapConfig,
@@ -391,79 +395,58 @@ impl OctoMap {
             half_extent,
             origin,
             endpoint,
-            |_cell, center, delta| self.update_leaf(&center, delta),
+            |cell, center, delta| self.update_cell(&cell, &center, delta),
         );
     }
 
-    /// Batched insertion pays for its per-crossing bookkeeping only when many
-    /// rays cross each voxel. Sharing grows with ray density and voxel size;
-    /// `points × resolution²` is the calibrated proxy (criterion octomap
-    /// bench, BENCH_pr2.json): below ≈250 ray-by-ray insertion wins, above it
-    /// batching wins (up to ~1.45X on dense scans at coarse resolutions).
-    const BATCH_SHARING_THRESHOLD: f64 = 250.0;
-
-    /// Integrates a whole point cloud captured from `cloud.origin`.
-    ///
-    /// When the scan is dense relative to the voxel size (see
-    /// the internal `BATCH_SHARING_THRESHOLD`), updates are batched per voxel
-    /// before any tree traversal: voxels close to the sensor are crossed by
-    /// almost every ray of the scan, so grouping the scan's (voxel → ordered
-    /// deltas) first and descending the octree once per *voxel* instead of
-    /// once per *ray crossing* removes the bulk of the traversal work. Both
-    /// paths produce bit-identical maps (see the equivalence test): per-voxel
-    /// delta order (ray order) is preserved and each delta is clamped
-    /// individually.
-    pub fn insert_point_cloud(&mut self, cloud: &PointCloud) {
-        let sharing = cloud.len() as f64 * self.config.resolution * self.config.resolution;
-        if sharing < Self::BATCH_SHARING_THRESHOLD {
-            let origin = cloud.origin;
-            for point in cloud.iter() {
-                self.insert_ray(&origin, &point);
+    /// One ray crossing of traversal cell `cell` (centre `center`). When the
+    /// cell's leaf already exists and the update leaves its occupancy
+    /// unchanged, only the leaf value and the update counter move, so the
+    /// leaf is updated in place through its brick slot. A new leaf or an
+    /// occupancy flip takes the descent in [`OctoMap::update_leaf`], which
+    /// owns every index and counter. Exact because `aligned_domain` makes
+    /// leaves coincide with traversal cells and the clamp arithmetic is the
+    /// descent's.
+    fn update_cell(&mut self, cell: &GridIndex, center: &Vec3, delta: f64) {
+        let (block, slot) = block_of(cell);
+        if let Some(&brick) = self.known_blocks.get(&pack_voxel_key(&block)) {
+            let leaf = self.bricks[brick as usize][slot];
+            if leaf != NIL {
+                let (clamp, threshold) = (self.config.clamp, self.config.occupied_threshold);
+                let value = &mut self.leaf_values[leaf as usize];
+                let after = (*value + delta).clamp(clamp.0, clamp.1);
+                if (*value > threshold) == (after > threshold) {
+                    *value = after;
+                    self.updates += 1;
+                    return;
+                }
             }
-        } else {
-            self.insert_point_cloud_batched(cloud);
         }
+        self.update_leaf(center, delta);
     }
 
-    /// The batched insertion path: group per-voxel deltas across the whole
-    /// scan, then apply each voxel's ordered sequence in one tree descent.
-    /// The grouping buffers come from a per-thread [`GroupScratch`], so the
-    /// steady-state mapping tick performs no grouping allocations at all —
-    /// the table, the entry vector and the spill vectors of the previous scan
-    /// are all recycled.
-    fn insert_point_cloud_batched(&mut self, cloud: &PointCloud) {
-        let (grid, config, half_extent) = (self.grid, self.config, self.half_extent);
-        let clamp = config.clamp;
-        GROUP_SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            Self::group_ray_range_into(grid, config, half_extent, cloud, 0, cloud.len(), scratch);
-            for (_, center, first, rest) in &scratch.grouped {
-                let count = 1 + rest.len() as u64;
-                self.update_leaf_apply(center, count, |log_odds| {
-                    *log_odds = (*log_odds + first).clamp(clamp.0, clamp.1);
-                    for delta in rest {
-                        *log_odds = (*log_odds + delta).clamp(clamp.0, clamp.1);
-                    }
-                });
-            }
-        });
+    /// Integrates a whole point cloud captured from `cloud.origin`, one ray
+    /// at a time in cloud order.
+    pub fn insert_point_cloud(&mut self, cloud: &PointCloud) {
+        let origin = cloud.origin;
+        for point in cloud.iter() {
+            self.insert_ray(&origin, &point);
+        }
     }
 
     /// Groups the per-voxel updates of rays `lo..hi` of `cloud` in
     /// first-touch order: `(packed voxel key, centre, first delta, later
-    /// deltas)`. Shared by the serial batched path (whole-scan range) and the
-    /// parallel path (one contiguous chunk per worker), so the two can never
-    /// disagree on grouping semantics.
+    /// deltas)`. Each worker of [`OctoMap::insert_point_cloud_parallel`]
+    /// groups one contiguous chunk of the scan.
     ///
     /// Hash-map iteration order never leaks into the output. The first delta
     /// is stored inline: far voxels are crossed by a single ray, so the
     /// common case needs no spill allocation at all. In-domain voxel indices
     /// are bounded by half_extent / resolution, so the key packs into one u64
     /// and costs a single hash mix per crossing. The table is sized for
-    /// *distinct* voxels, not crossings: the batched paths only run when many
-    /// rays share each voxel (the sharing gate above), so dividing the
-    /// crossing estimate by a conservative sharing factor avoids allocating a
-    /// table an order of magnitude too large on every mapping tick.
+    /// *distinct* voxels, not crossings: near the sensor many rays share each
+    /// voxel, so dividing the crossing estimate by a conservative sharing
+    /// factor avoids allocating a table an order of magnitude too large.
     #[allow(clippy::type_complexity)]
     fn group_ray_range(
         grid: GridSpec,
@@ -473,39 +456,14 @@ impl OctoMap {
         lo: usize,
         hi: usize,
     ) -> Vec<(u64, Vec3, f64, Vec<f64>)> {
-        let mut scratch = GroupScratch::default();
-        Self::group_ray_range_into(grid, config, half_extent, cloud, lo, hi, &mut scratch);
-        scratch.grouped
-    }
-
-    /// [`OctoMap::group_ray_range`] writing into reusable buffers: the table
-    /// and entry vector keep their capacity across scans, and the spill
-    /// vectors of the previous scan are recycled through
-    /// [`GroupScratch::spare`] so shared voxels stop allocating once the
-    /// buffers are warm. The grouping itself — entry order, per-voxel delta
-    /// order — is byte-for-byte the allocating version's.
-    fn group_ray_range_into(
-        grid: GridSpec,
-        config: OctoMapConfig,
-        half_extent: f64,
-        cloud: &PointCloud,
-        lo: usize,
-        hi: usize,
-        scratch: &mut GroupScratch,
-    ) {
         let origin = cloud.origin;
         let crossings_estimate =
             ((hi - lo) as f64 * (config.max_range / config.resolution)) as usize;
-        scratch.recycle();
-        let desired = (crossings_estimate / 8).clamp(64, 1 << 18);
-        if scratch.index_of.capacity() < desired {
-            scratch.index_of.reserve(desired);
-        }
-        let GroupScratch {
-            index_of,
-            grouped,
-            spare,
-        } = scratch;
+        let mut index_of: HashMap<u64, u32, VoxelHashBuilder> = HashMap::with_capacity_and_hasher(
+            (crossings_estimate / 8).clamp(64, 1 << 18),
+            VoxelHashBuilder::default(),
+        );
+        let mut grouped: Vec<(u64, Vec3, f64, Vec<f64>)> = Vec::new();
         for i in lo..hi {
             let point = cloud.point(i);
             Self::for_each_ray_update(
@@ -520,18 +478,17 @@ impl OctoMap {
                     }
                     std::collections::hash_map::Entry::Vacant(slot) => {
                         slot.insert(grouped.len() as u32);
-                        let rest = spare.pop().unwrap_or_default();
-                        grouped.push((pack_voxel_key(&cell), center, delta, rest));
+                        grouped.push((pack_voxel_key(&cell), center, delta, Vec::new()));
                     }
                 },
             );
         }
+        grouped
     }
 
     /// Integrates a whole point cloud using `threads` worker threads,
     /// producing a map bit-identical to [`OctoMap::insert_point_cloud`] on
-    /// the same cloud (property-tested at every thread count, like the
-    /// batched-vs-ray-by-ray equivalence).
+    /// the same cloud (property-tested at every thread count).
     ///
     /// Three phases: (1) the scan is split into contiguous ray chunks, one
     /// worker grouping each chunk's per-voxel deltas; merging the chunk
@@ -596,7 +553,9 @@ impl OctoMap {
                             .map(|(center, first, rest)| {
                                 let probe = self.probe_leaf(center);
                                 let shallow = matches!(probe, Some((_, false)));
-                                let mut value = probe.map(|(v, _)| v).unwrap_or(0.0);
+                                let mut value = probe
+                                    .map(|(leaf, _)| self.leaf_values[leaf as usize])
+                                    .unwrap_or(0.0);
                                 value = (value + first).clamp(clamp.0, clamp.1);
                                 for delta in rest {
                                     value = (value + delta).clamp(clamp.0, clamp.1);
@@ -614,8 +573,8 @@ impl OctoMap {
         // Phase 3: deterministic serial commit in grouping order.
         if folded.iter().any(|&(_, shallow)| shallow) {
             // Coarse leaf on a probed path: the folded values may not be
-            // independent per voxel. Apply the grouped deltas serially — the
-            // exact batched-path fold.
+            // independent per voxel. Apply each voxel's grouped deltas
+            // serially, one descent per voxel.
             for (center, first, rest) in grouped {
                 let count = 1 + rest.len() as u64;
                 self.update_leaf_apply(&center, count, move |log_odds| {
@@ -1033,7 +992,7 @@ impl OctoMap {
     ///
     /// Decision-identical to probing `point ± resolution` along each axis
     /// with [`OctoMap::is_unknown`] (property-tested), but served from the
-    /// known-voxel block bitmasks: six hash-indexed bit tests instead of six
+    /// known-voxel block table: six hash-indexed slot reads instead of six
     /// octree descents. An out-of-domain neighbour has no leaf, so it reads
     /// as unknown from the index exactly as [`OctoMap::query`] reports it;
     /// neighbour indices sit at most one voxel outside the domain, within the
@@ -1041,10 +1000,10 @@ impl OctoMap {
     pub fn has_unknown_neighbor6(&self, point: &Vec3) -> bool {
         let idx = self.grid.index_of(point);
         idx.neighbors6().iter().any(|n| {
-            let (block, bit) = block_of(n);
+            let (block, slot) = block_of(n);
             self.known_blocks
                 .get(&pack_voxel_key(&block))
-                .is_none_or(|mask| mask & bit == 0)
+                .is_none_or(|&brick| self.bricks[brick as usize][slot] == NIL)
         })
     }
 
@@ -1084,14 +1043,15 @@ impl OctoMap {
     // ------------------------------------------------------------------
 
     fn leaf_log_odds(&self, point: &Vec3) -> Option<f64> {
-        self.probe_leaf(point).map(|(log_odds, _)| log_odds)
+        self.probe_leaf(point)
+            .map(|(leaf, _)| self.leaf_values[leaf as usize])
     }
 
-    /// Read-only descent to the leaf covering `point`: its log-odds and
-    /// whether it sits at full depth (`false` marks a coarse leaf that an
+    /// Read-only descent to the leaf covering `point`: its leaf-pool index
+    /// and whether it sits at full depth (`false` marks a coarse leaf that an
     /// update would have to push down). `None` when no leaf exists on the
     /// path — an update would then create one starting from 0.0.
-    fn probe_leaf(&self, point: &Vec3) -> Option<(f64, bool)> {
+    fn probe_leaf(&self, point: &Vec3) -> Option<(u32, bool)> {
         let mut r = self.root;
         let mut center = Vec3::ZERO;
         let mut half = self.half_extent;
@@ -1100,7 +1060,7 @@ impl OctoMap {
                 return None;
             }
             if r & LEAF_BIT != 0 {
-                return Some((self.leaf_values[(r & !LEAF_BIT) as usize], false));
+                return Some((r & !LEAF_BIT, false));
             }
             let (idx, child_center) = child_of(point, &center, half);
             r = self.nodes[r as usize][idx];
@@ -1108,7 +1068,7 @@ impl OctoMap {
             half /= 2.0;
         }
         if is_leaf_ref(r) {
-            Some((self.leaf_values[(r & !LEAF_BIT) as usize], true))
+            Some((r & !LEAF_BIT, true))
         } else {
             None
         }
@@ -1160,13 +1120,15 @@ impl OctoMap {
     }
 
     /// Applies `apply` to the leaf value containing `point` in a single tree
-    /// descent, recording `count` leaf updates. Batched scan insertion folds
-    /// a whole voxel's ordered delta sequence through one descent this way.
+    /// descent, recording `count` leaf updates. The parallel commit stores a
+    /// whole voxel's folded delta sequence through one descent this way.
     ///
-    /// Every mutation of a leaf's log-odds flows through here — single rays,
-    /// batched scans and [`OctoMap::reresolved`] alike — so this is the one
-    /// place the occupied-voxel index and the O(1) counters are kept in sync
-    /// with the tree.
+    /// Every leaf creation and occupancy flip flows through here — single
+    /// rays, parallel scans and [`OctoMap::reresolved`] alike — so this is
+    /// the one place the block indexes, the free-voxel index and the O(1)
+    /// counters are kept in sync with the tree. (A ray crossing that neither
+    /// creates a leaf nor flips it skips the descent; see
+    /// `OctoMap::update_cell`.)
     fn update_leaf_apply<F: FnOnce(&mut f64)>(&mut self, point: &Vec3, count: u64, apply: F) {
         if !self.in_domain(point) {
             return;
@@ -1203,12 +1165,20 @@ impl OctoMap {
                 }
             }
             // A materialised leaf marks its voxel known forever (leaves are
-            // never removed short of `clear`), so the known-block index is
+            // never removed short of `clear`), so the block table is
             // append-only. Keyed off the leaf centre exactly like the
             // occupied-block index below.
             let idx = self.grid.index_of(&touch.center);
-            let (block, bit) = block_of(&idx);
-            *self.known_blocks.entry(pack_voxel_key(&block)).or_insert(0) |= bit;
+            let (block, slot) = block_of(&idx);
+            let bricks = &mut self.bricks;
+            let brick = *self
+                .known_blocks
+                .entry(pack_voxel_key(&block))
+                .or_insert_with(|| {
+                    bricks.push([NIL; 64]);
+                    (bricks.len() - 1) as u32
+                });
+            self.bricks[brick as usize][slot] = touch.leaf;
         }
         let was = !touch.created && touch.before > threshold;
         if was == now {
@@ -1240,8 +1210,9 @@ impl OctoMap {
         // point: an update point sitting exactly on a boundary then maps to
         // whichever leaf the descent actually touched.
         let idx = self.grid.index_of(&touch.center);
-        let (block, bit) = block_of(&idx);
+        let (block, slot) = block_of(&idx);
         let key = pack_voxel_key(&block);
+        let bit = 1u64 << slot;
         if now {
             *self.occupied_blocks.entry(key).or_insert(0) |= bit;
         } else if let Some(mask) = self.occupied_blocks.get_mut(&key) {
@@ -1254,8 +1225,9 @@ impl OctoMap {
 
     /// The mutating arena descent: walks (and where needed materialises) the
     /// path from the root to the leaf covering `point`, applies `apply` to
-    /// its log-odds, and reports what happened. Semantically identical to the
-    /// old recursive pointer-tree update, including the coarse-leaf pushdown
+    /// its log-odds, and reports what happened, including the leaf-pool index
+    /// the block table records. Semantically identical to the old recursive
+    /// pointer-tree update, including the coarse-leaf pushdown
     /// (the leaf slot rides down into the descended octant, so no pool entry
     /// is orphaned) and the replace-an-interior-node-at-full-depth repair.
     fn descend_apply<F: FnOnce(&mut f64)>(&mut self, point: &Vec3, apply: F) -> LeafTouch {
@@ -1273,7 +1245,8 @@ impl OctoMap {
             let r = self.read_slot(slot);
             if remaining == 0 {
                 if is_leaf_ref(r) {
-                    let value = &mut self.leaf_values[(r & !LEAF_BIT) as usize];
+                    let leaf = r & !LEAF_BIT;
+                    let value = &mut self.leaf_values[leaf as usize];
                     let before = *value;
                     apply(value);
                     return LeafTouch {
@@ -1282,6 +1255,7 @@ impl OctoMap {
                         after: *value,
                         center,
                         rank,
+                        leaf,
                     };
                 }
                 // Should be a leaf; replace an inner node if one snuck in.
@@ -1295,6 +1269,7 @@ impl OctoMap {
                     after: log_odds,
                     center,
                     rank,
+                    leaf: leaf & !LEAF_BIT,
                 };
             }
             if is_leaf_ref(r) {
@@ -1366,15 +1341,16 @@ impl OctoMap {
 
 /// What one tree descent did to the leaf it reached: whether the leaf was
 /// created by this update, its log-odds before and after, the leaf's own
-/// centre (the authoritative identity of the voxel it covers) and its DFS
-/// rank (see [`KnownLeaf::rank`]). This is what keeps the occupied-voxel and
-/// free-voxel indexes and the O(1) counters exact.
+/// centre (the authoritative identity of the voxel it covers), its DFS rank
+/// (see [`KnownLeaf::rank`]) and its leaf-pool index. This is what keeps the
+/// block indexes, the free-voxel index and the O(1) counters exact.
 struct LeafTouch {
     created: bool,
     before: f64,
     after: f64,
     center: Vec3,
     rank: u64,
+    leaf: u32,
 }
 
 /// Offset added to each voxel-index axis before it is packed into 21 bits:
@@ -1416,36 +1392,7 @@ fn pack_voxel_key_checked(cell: &GridIndex) -> Option<u64> {
     }
 }
 
-/// Reusable buffers of the batched-insertion grouping pass: the voxel-key
-/// table, the first-touch-ordered entry vector and a pool of recycled spill
-/// vectors (the per-voxel `Vec<f64>` of later deltas). Held per thread by
-/// `GROUP_SCRATCH`; after the first scan on a thread the steady-state mapping
-/// tick groups without allocating.
-#[derive(Debug, Default)]
-struct GroupScratch {
-    index_of: HashMap<u64, u32, VoxelHashBuilder>,
-    #[allow(clippy::type_complexity)]
-    grouped: Vec<(u64, Vec3, f64, Vec<f64>)>,
-    spare: Vec<Vec<f64>>,
-}
-
-impl GroupScratch {
-    /// Clears the table and entry vector for the next scan, moving every
-    /// spill vector that actually holds an allocation into the spare pool.
-    fn recycle(&mut self) {
-        self.index_of.clear();
-        for (_, _, _, mut rest) in self.grouped.drain(..) {
-            if rest.capacity() > 0 {
-                rest.clear();
-                self.spare.push(rest);
-            }
-        }
-    }
-}
-
 thread_local! {
-    /// Per-thread grouping buffers for the serial batched insertion path.
-    static GROUP_SCRATCH: RefCell<GroupScratch> = RefCell::new(GroupScratch::default());
     /// Per-thread DDA cell buffer shared by ray insertion and the segment
     /// corridor prefilter — the two per-call traversals hot enough to show up
     /// in episode allocation counts. Take/replace (not borrow-across-call) so
@@ -1455,15 +1402,16 @@ thread_local! {
 }
 
 /// Splits a voxel index into its 4×4×4 block coordinates and the block-local
-/// occupancy bit (bit = x + 4·y + 16·z over the euclidean remainders).
-fn block_of(idx: &GridIndex) -> (GridIndex, u64) {
+/// slot `x + 4·y + 16·z` over the euclidean remainders: the voxel's bit in a
+/// block bitmask and its entry in a brick.
+fn block_of(idx: &GridIndex) -> (GridIndex, usize) {
     let block = GridIndex::new(
         idx.x.div_euclid(4),
         idx.y.div_euclid(4),
         idx.z.div_euclid(4),
     );
-    let bit = idx.x.rem_euclid(4) + 4 * idx.y.rem_euclid(4) + 16 * idx.z.rem_euclid(4);
-    (block, 1u64 << bit)
+    let slot = idx.x.rem_euclid(4) + 4 * idx.y.rem_euclid(4) + 16 * idx.z.rem_euclid(4);
+    (block, slot as usize)
 }
 
 /// 4-bit mask of the block-local coordinates (0..4) of block `b` that fall
@@ -1605,10 +1553,10 @@ fn offset_ball(resolution: f64, radius: f64) -> Rc<OffsetBall> {
 
 /// A cheap multiply-xor hasher for packed voxel keys.
 ///
-/// Batched scan insertion hashes every ray/voxel crossing; the standard
-/// SipHash costs more per crossing than the tree descent it is meant to
-/// save. Voxel keys are single, adversary-free integers, so one SplitMix-
-/// style mix is plenty.
+/// Ray insertion probes the block table on every ray/voxel crossing; the
+/// standard SipHash costs more per crossing than the tree descent it is
+/// meant to save. Voxel keys are single, adversary-free integers, so one
+/// SplitMix-style mix is plenty.
 #[derive(Clone, Copy, Default)]
 struct VoxelHasher(u64);
 
@@ -1683,9 +1631,8 @@ impl OctoMap {
     }
 
     /// Logical equality of two subtrees: same shape, same leaf values. The
-    /// arena's *physical* node order depends on creation order (serial,
-    /// batched and parallel insertion create nodes in different orders), so
-    /// map equality must compare the trees, not the pools.
+    /// arena's *physical* node order depends on creation order, so map
+    /// equality must compare the trees, not the pools.
     fn subtree_eq(&self, ra: u32, other: &OctoMap, rb: u32) -> bool {
         match (ra == NIL, rb == NIL) {
             (true, true) => return true,
@@ -1707,6 +1654,26 @@ impl OctoMap {
             _ => false,
         }
     }
+
+    /// Logical equality of the block tables: the same known voxels, each
+    /// brick slot naming a leaf with the same log-odds. Brick and leaf-pool
+    /// indices are physical, like the arena's, so they are not compared.
+    fn bricks_eq(&self, other: &OctoMap) -> bool {
+        if self.known_blocks.len() != other.known_blocks.len() {
+            return false;
+        }
+        // mav-lint: allow(DET-HASH-ITER): a conjunction is order-independent
+        self.known_blocks.iter().all(|(key, &a)| {
+            other.known_blocks.get(key).is_some_and(|&b| {
+                let (a, b) = (&self.bricks[a as usize], &other.bricks[b as usize]);
+                a.iter().zip(b).all(|(&la, &lb)| {
+                    (la == NIL) == (lb == NIL)
+                        && (la == NIL
+                            || self.leaf_values[la as usize] == other.leaf_values[lb as usize])
+                })
+            })
+        })
+    }
 }
 
 impl PartialEq for OctoMap {
@@ -1719,7 +1686,7 @@ impl PartialEq for OctoMap {
             && self.occupied_count == other.occupied_count
             && self.occupied_blocks == other.occupied_blocks
             && self.known_leaves == other.known_leaves
-            && self.known_blocks == other.known_blocks
+            && self.bricks_eq(other)
             && self.subtree_eq(self.root, other, other.root)
     }
 }
@@ -1818,6 +1785,48 @@ mod tests {
                 .filter(|(_, l)| *l > self.config.occupied_threshold)
                 .map(|(c, _)| c)
                 .collect()
+        }
+
+        /// [`OctoMap::insert_ray`] without the brick-slot fast path: every
+        /// crossing pays the full descent of [`OctoMap::update_leaf`].
+        fn insert_ray_by_descent(&mut self, origin: &Vec3, endpoint: &Vec3) {
+            let (grid, config, half_extent) = (self.grid, self.config, self.half_extent);
+            Self::for_each_ray_update(
+                grid,
+                config,
+                half_extent,
+                origin,
+                endpoint,
+                |_cell, center, delta| self.update_leaf(&center, delta),
+            );
+        }
+
+        /// Checks the block table against the tree: every non-`NIL` brick
+        /// slot names the full-depth leaf the descent reaches from its
+        /// cell's centre, and every leaf has exactly one slot.
+        fn brick_slots_mismatch(&self) -> Option<String> {
+            let mut slots = 0;
+            for (&key, &brick) in &self.known_blocks {
+                let block = unpack_voxel_key(key);
+                for (slot, &leaf) in self.bricks[brick as usize].iter().enumerate() {
+                    if leaf == NIL {
+                        continue;
+                    }
+                    slots += 1;
+                    let slot = slot as i64;
+                    let cell = GridIndex::new(
+                        block.x * 4 + (slot & 3),
+                        block.y * 4 + ((slot >> 2) & 3),
+                        block.z * 4 + (slot >> 4),
+                    );
+                    let probed = self.probe_leaf(&self.grid.center_of(&cell));
+                    if probed != Some((leaf, true)) {
+                        return Some(format!("{cell:?}: slot {leaf}, descent {probed:?}"));
+                    }
+                }
+            }
+            (slots != self.leaf_values.len())
+                .then(|| format!("{slots} slots for {} leaves", self.leaf_values.len()))
         }
     }
 
@@ -2267,11 +2276,11 @@ mod tests {
     }
 
     #[test]
-    fn batched_cloud_insertion_is_bit_identical_to_ray_by_ray() {
-        // The PR 2 perf optimisation groups a scan's updates per voxel before
-        // any tree traversal. The resulting map must be indistinguishable
-        // from the historical ray-by-ray path: same leaf values (ordered
-        // deltas under the same clamp), same update count, same queries.
+    fn dense_cloud_insertion_is_bit_identical_to_ray_by_ray() {
+        // A dense scan crosses each near voxel many times, so most crossings
+        // take the brick-slot fast path. The map must be indistinguishable
+        // from per-ray insertion and from the pointer-tree oracle: same leaf
+        // values (ordered deltas under the same clamp), same update count.
         let mut points = Vec::new();
         for y in -14..=14 {
             for z in 0..5 {
@@ -2284,18 +2293,18 @@ mod tests {
         let origin = Vec3::new(0.0, 0.0, 1.0);
         let cloud = PointCloud::new(origin, points.clone());
 
-        let mut batched = small_map(0.3);
-        batched.insert_point_cloud_batched(&cloud);
+        let mut cloud_map = small_map(0.3);
+        cloud_map.insert_point_cloud(&cloud);
         let mut serial = small_map(0.3);
+        let mut tree = reference::ReferenceMap::new(*serial.config(), 32.0);
         for p in &points {
             serial.insert_ray(&origin, p);
+            tree.insert_ray(&origin, p);
         }
-        assert_eq!(batched.update_count(), serial.update_count());
-        assert_eq!(batched, serial, "batched insertion changed the map");
-        // And the public (adaptively gated) entry point agrees with both.
-        let mut gated = small_map(0.3);
-        gated.insert_point_cloud(&cloud);
-        assert_eq!(gated, serial, "gated insertion changed the map");
+        assert_eq!(cloud_map.update_count(), serial.update_count());
+        assert_eq!(cloud_map, serial, "cloud insertion changed the map");
+        assert_eq!(cloud_map.collect_leaves(), tree.collect());
+        assert_eq!(cloud_map.brick_slots_mismatch(), None);
     }
 
     #[test]
@@ -2657,11 +2666,65 @@ mod tests {
                     prop_assert_eq!(parallel.free_voxel_centers(), serial.free_voxel_centers());
                 }
             }
+
+            /// Warm-map flips: hit bursts then miss bursts through the same
+            /// voxels drive leaves across the occupancy threshold both ways,
+            /// so crossings alternate between the brick-slot fast path and
+            /// the flip fallback. The map must match the pointer-tree oracle
+            /// leaf for leaf and a descent-only map exactly, and after every
+            /// ray each brick slot must name the leaf the descent reaches.
+            #[test]
+            fn warm_map_flips_match_reference(
+                res_idx in 0usize..RESOLUTIONS.len(),
+                targets in proptest::collection::vec(arb_point(20.0), 1..6),
+                bursts in proptest::collection::vec((3usize..7, 4usize..10), 1..4),
+            ) {
+                let config = OctoMapConfig::with_resolution(RESOLUTIONS[res_idx]);
+                let mut arena = OctoMap::new(config, 24.0);
+                let mut descent = OctoMap::new(config, 24.0);
+                let mut tree = ReferenceMap::new(config, 24.0);
+                let origin = Vec3::new(0.0, 0.0, 1.5);
+                let mut insert = |endpoint: &Vec3| -> Result<(), proptest::TestCaseError> {
+                    arena.insert_ray(&origin, endpoint);
+                    descent.insert_ray_by_descent(&origin, endpoint);
+                    tree.insert_ray(&origin, endpoint);
+                    prop_assert_eq!(arena.occupied_voxel_count(), descent.occupied_voxel_count());
+                    prop_assert_eq!(arena.brick_slots_mismatch(), None);
+                    Ok(())
+                };
+                for &(hits, misses) in &bursts {
+                    for target in &targets {
+                        for _ in 0..hits {
+                            insert(target)?;
+                        }
+                    }
+                    // Rays extended past each target cross its voxel as a
+                    // miss (truncated at max range, they end without a hit).
+                    for target in &targets {
+                        let beyond = origin + (*target - origin) * 1.6;
+                        for _ in 0..misses {
+                            insert(&beyond)?;
+                        }
+                    }
+                }
+                prop_assert_eq!(arena.collect_leaves(), tree.collect());
+                prop_assert_eq!(&arena, &descent);
+                prop_assert_eq!(arena.update_count(), descent.update_count());
+                prop_assert_eq!(arena.occupied_voxel_count(), descent.occupied_voxel_count());
+                prop_assert_eq!(
+                    center_bits(&arena.free_voxel_centers()),
+                    center_bits(&descent.free_voxel_centers())
+                );
+                prop_assert_eq!(
+                    center_bits(&arena.free_voxel_centers()),
+                    center_bits(&arena.free_voxel_centers_scan())
+                );
+            }
         }
 
         /// The O(1) counters match the full tree walk on a deterministic
-        /// dyadic-resolution scenario covering rays, a dense scan on the
-        /// batched insertion path and the dynamic-resolution rebuild.
+        /// dyadic-resolution scenario covering rays, a dense scan into the
+        /// warm map and the dynamic-resolution rebuild.
         #[test]
         fn counters_match_tree_walk() {
             let mut map = OctoMap::new(OctoMapConfig::with_resolution(0.5), 32.0);
@@ -2671,7 +2734,7 @@ mod tests {
                     map.insert_ray(&origin, &Vec3::new(10.0, i as f64 * 0.5, z));
                 }
             }
-            // Dense enough for the batched path (points × res² ≥ 250).
+            // A dense scan: most of its crossings revisit existing leaves.
             let mut points = Vec::new();
             for iy in -40..=40 {
                 for iz in 0..14 {
@@ -2681,7 +2744,7 @@ mod tests {
             map.insert_point_cloud(&PointCloud::new(origin, points));
             assert_eq!(map.known_voxel_count(), map.known_voxel_count_scan());
             assert_eq!(map.occupied_voxel_count(), map.occupied_voxel_count_scan());
-            // Query equivalence holds on a batched-built map too.
+            // Query equivalence holds on a scan-built map too.
             for (a, b) in [
                 (Vec3::new(-5.0, -8.0, 1.0), Vec3::new(14.0, 8.0, 2.0)),
                 (Vec3::new(0.0, 0.0, 1.0), Vec3::new(9.0, 0.0, 1.0)),

@@ -210,6 +210,14 @@ fn malformed_specs_get_400_with_json_error_body() {
             r#"{"type":"sweep","scenario":{"application":"scanning","extents":[-5.0]},"episodes":4}"#,
             "extents",
         ),
+        (
+            r#"{"type":"mission","config":{"application":"package_delivery","environment":{"obstacle_size":[6.0,1.0]}}}"#,
+            "environment.obstacle_size",
+        ),
+        (
+            r#"{"type":"mission","config":{"application":"package_delivery","environment":{"obstacle_height":[12.0,2.0]}}}"#,
+            "environment.obstacle_height",
+        ),
     ] {
         let reply = client.send("POST", "/jobs", body);
         assert_eq!(reply.status, 400, "spec {body} → {}", reply.body);
