@@ -15,6 +15,11 @@ fn bench_depth_and_pointcloud(c: &mut Criterion) {
     c.bench_function("depth_capture_32x24", |b| {
         b.iter(|| camera.capture(&world, &pose).coverage())
     });
+    // Fig. 18's camera: 16x the rays from the same pose in the same world.
+    let fig18_camera = DepthCamera::new(DepthCameraConfig::high_resolution());
+    c.bench_function("depth_capture_128x96", |b| {
+        b.iter(|| fig18_camera.capture(&world, &pose).coverage())
+    });
     let frame = camera.capture(&world, &pose);
     c.bench_function("pointcloud_generation", |b| {
         b.iter(|| PointCloud::from_depth_image(&frame).len())

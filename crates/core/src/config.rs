@@ -1078,6 +1078,7 @@ impl MissionConfig {
     pub fn validate(&self) -> Result<(), String> {
         self.quadrotor.validate()?;
         self.environment.validate()?;
+        self.camera.validate()?;
         let resolutions = match self.resolution_policy {
             ResolutionPolicy::Static { resolution } => [resolution, resolution],
             ResolutionPolicy::Dynamic {

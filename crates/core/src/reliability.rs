@@ -567,6 +567,15 @@ impl mav_types::FromJson for ScenarioGenerator {
             cfg.environment.extent = extent;
             cfg.validate().map_err(|e| format!("extents: {e}"))?;
         }
+        // The obstacle count grows with density and extent, so each density
+        // is checked on the widest world it can be drawn with.
+        let widest = generator.extents.iter().copied().fold(0.0, f64::max);
+        for &density in &generator.densities {
+            let mut cfg = generator.episode_base();
+            cfg.environment.extent = widest;
+            cfg.environment.obstacle_density = density;
+            cfg.validate().map_err(|e| format!("densities: {e}"))?;
+        }
         Ok(generator)
     }
 }

@@ -241,7 +241,10 @@ impl EnvironmentConfig {
     /// Validates the world dimensions: `extent` and `height` must be finite
     /// and positive, and so must both bounds of the `obstacle_size` and
     /// `obstacle_height` ranges, with `min <= max` (the generator samples
-    /// them as inclusive ranges, so `min == max` is a fixed size).
+    /// them as inclusive ranges, so `min == max` is a fixed size). The world
+    /// may hold at most [`Self::MAX_OBSTACLES`] obstacles, counting the
+    /// density's static clutter, people, dynamic obstacles, the indoor walls
+    /// and the photography subject.
     ///
     /// # Errors
     ///
@@ -265,7 +268,34 @@ impl EnvironmentConfig {
                 ));
             }
         }
+        let fixed = INDOOR_WALLS * usize::from(self.indoor_structure)
+            + usize::from(self.photography_subject);
+        let total = self.static_obstacle_count()
+            + self.people as f64
+            + self.dynamic_obstacles as f64
+            + fixed as f64;
+        if total.is_nan() || total > Self::MAX_OBSTACLES as f64 {
+            return Err(format!(
+                "environment holds {total} obstacles, more than the cap of {}: \
+                 obstacle_density per 1000 m² over the (2·extent)² ground, plus \
+                 people, dynamic_obstacles, the indoor walls and the subject",
+                Self::MAX_OBSTACLES
+            ));
+        }
         Ok(())
+    }
+
+    /// Most obstacles a valid configuration may place. World memory, every
+    /// collision query and every depth-frame cull grow with the count; the
+    /// presets stay far below it (urban_outdoor places 77).
+    pub const MAX_OBSTACLES: usize = 10_000;
+
+    /// Number of static clutter obstacles `generate` aims to place:
+    /// `obstacle_density` per 1000 m² of the `(2·extent)²` ground area,
+    /// rounded.
+    fn static_obstacle_count(&self) -> f64 {
+        let ground_area = (2.0 * self.extent) * (2.0 * self.extent);
+        ((ground_area / 1000.0) * self.obstacle_density).round()
     }
 
     /// Generates the world described by this configuration.
@@ -282,8 +312,7 @@ impl EnvironmentConfig {
         };
 
         // Static clutter driven by the density knob.
-        let ground_area = (2.0 * self.extent) * (2.0 * self.extent);
-        let count = ((ground_area / 1000.0) * self.obstacle_density).round() as usize;
+        let count = self.static_obstacle_count() as usize;
         let mut placed = 0usize;
         let mut attempts = 0usize;
         while placed < count && attempts < count * 20 + 100 {
@@ -384,6 +413,9 @@ impl EnvironmentConfig {
         World::new(self.name.clone(), bounds, obstacles)
     }
 }
+
+/// Number of boxes [`indoor_walls`] builds.
+const INDOOR_WALLS: usize = 7;
 
 /// Builds the wall boxes of a simple two-room indoor structure with a single
 /// door-width opening between the rooms and one opening to the outside.
@@ -511,6 +543,57 @@ mod tests {
         assert_eq!(world.bounds().max.z, cfg.height);
         assert_eq!(world.bounds().max.x, cfg.extent);
         assert_eq!(world.name(), "open-field");
+    }
+
+    #[test]
+    fn validate_caps_the_obstacle_count() {
+        let walls = indoor_walls(0.0, 0.0, 12.0, 0.4, 3.0, 0.82);
+        assert_eq!(walls.len(), INDOOR_WALLS);
+        // Exactly at the cap: 100 static + 9_899 people + 1 subject.
+        let at_cap = EnvironmentConfig {
+            extent: 50.0,
+            obstacle_density: 10.0,
+            people: 9_899,
+            photography_subject: true,
+            ..EnvironmentConfig::default()
+        };
+        assert_eq!(at_cap.static_obstacle_count(), 100.0);
+        assert_eq!(at_cap.validate(), Ok(()));
+        assert_eq!(
+            at_cap.generate().obstacle_count(),
+            EnvironmentConfig::MAX_OBSTACLES
+        );
+        for over in [
+            EnvironmentConfig {
+                people: 9_900,
+                ..at_cap.clone()
+            },
+            EnvironmentConfig {
+                indoor_structure: true,
+                ..at_cap.clone()
+            },
+            EnvironmentConfig {
+                dynamic_obstacles: 1,
+                ..at_cap.clone()
+            },
+            EnvironmentConfig {
+                people: 1_000_000_000_000,
+                ..EnvironmentConfig::default()
+            },
+            EnvironmentConfig::default().with_obstacle_density(1e6),
+            EnvironmentConfig::default().with_obstacle_density(f64::INFINITY),
+            EnvironmentConfig {
+                obstacle_density: f64::NAN,
+                ..EnvironmentConfig::default()
+            },
+            EnvironmentConfig {
+                extent: 1e9,
+                ..EnvironmentConfig::default()
+            },
+        ] {
+            let error = over.validate().unwrap_err();
+            assert!(error.contains("cap of 10000"), "{error}");
+        }
     }
 
     #[test]

@@ -61,13 +61,7 @@ impl PointCloud {
     pub fn fill_from_depth_image(&mut self, image: &DepthImage) {
         self.clear();
         self.origin = image.camera_pose.position;
-        for v in 0..image.height {
-            for u in 0..image.width {
-                if let Some(p) = image.point_at(u, v) {
-                    self.push(p);
-                }
-            }
-        }
+        image.for_each_point(|p| self.push(p));
     }
 
     /// Removes every point while keeping the coordinate buffers' capacity.
@@ -353,21 +347,40 @@ mod tests {
     #[test]
     fn reused_buffers_reproduce_the_allocating_paths_exactly() {
         let world = EnvironmentConfig::urban_outdoor().with_seed(3).generate();
-        let camera = DepthCamera::new(DepthCameraConfig::default());
         let mut scratch = DownsampleScratch::default();
         let mut raw = PointCloud::default();
         let mut coarse = PointCloud::default();
-        // Dirty the buffers with one frame, then reuse them on another: the
-        // reused results must equal the allocating ones field for field.
-        for (position, yaw) in [
-            (Vec3::new(0.0, 0.0, 2.0), 0.0),
-            (Vec3::new(5.0, -3.0, 2.5), 1.2),
+        let bits = |p: Vec3| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()];
+        // Dirty the buffers with one frame, then reuse them on the next: the
+        // reused results must equal the allocating ones field for field, and
+        // the points those of the per-pixel `point_at` loop bit for bit.
+        for config in [
+            DepthCameraConfig::default(),
+            DepthCameraConfig::high_resolution(),
+            DepthCameraConfig {
+                width: 1,
+                height: 5,
+                ..Default::default()
+            },
         ] {
-            let frame = camera.capture(&world, &Pose::new(position, yaw));
-            raw.fill_from_depth_image(&frame);
-            assert_eq!(raw, PointCloud::from_depth_image(&frame));
-            raw.downsample_into(0.5, &mut scratch, &mut coarse);
-            assert_eq!(coarse, raw.downsample(0.5));
+            for (position, yaw) in [
+                (Vec3::new(0.0, 0.0, 2.0), 0.0),
+                (Vec3::new(5.0, -3.0, 2.5), 1.2),
+                (Vec3::new(-12.5, 7.25, 6.0), -7.1),
+            ] {
+                let frame = DepthCamera::new(config).capture(&world, &Pose::new(position, yaw));
+                raw.fill_from_depth_image(&frame);
+                assert_eq!(raw, PointCloud::from_depth_image(&frame));
+                let mut per_pixel = Vec::new();
+                for v in 0..frame.height {
+                    for u in 0..frame.width {
+                        per_pixel.extend(frame.point_at(u, v).map(bits));
+                    }
+                }
+                assert_eq!(raw.iter().map(bits).collect::<Vec<_>>(), per_pixel);
+                raw.downsample_into(0.5, &mut scratch, &mut coarse);
+                assert_eq!(coarse, raw.downsample(0.5));
+            }
         }
     }
 

@@ -218,6 +218,42 @@ fn malformed_specs_get_400_with_json_error_body() {
             r#"{"type":"mission","config":{"application":"package_delivery","environment":{"obstacle_height":[12.0,2.0]}}}"#,
             "environment.obstacle_height",
         ),
+        (
+            r#"{"type":"mission","config":{"application":"package_delivery","camera":{"width":100000,"height":100000}}}"#,
+            "camera.width",
+        ),
+        (
+            r#"{"type":"mission","config":{"application":"package_delivery","camera":{"width":0}}}"#,
+            "camera.width",
+        ),
+        (
+            r#"{"type":"mission","config":{"application":"package_delivery","camera":{"width":4096,"height":4096}}}"#,
+            "camera.width*height",
+        ),
+        (
+            r#"{"type":"mission","config":{"application":"package_delivery","camera":{"fov_horizontal":4.0}}}"#,
+            "camera.fov_horizontal",
+        ),
+        (
+            r#"{"type":"mission","config":{"application":"package_delivery","camera":{"fov_vertical":0.0}}}"#,
+            "camera.fov_vertical",
+        ),
+        (
+            r#"{"type":"mission","config":{"application":"package_delivery","camera":{"max_range":-1.0}}}"#,
+            "camera.max_range",
+        ),
+        (
+            r#"{"type":"mission","config":{"application":"search_and_rescue","environment":{"people":1000000000000}}}"#,
+            "cap of 10000",
+        ),
+        (
+            r#"{"type":"mission","config":{"application":"package_delivery","environment":{"obstacle_density":1e6}}}"#,
+            "cap of 10000",
+        ),
+        (
+            r#"{"type":"sweep","scenario":{"application":"package_delivery","densities":[1.0,5000.0],"extents":[10.0,40.0]},"episodes":4}"#,
+            "densities",
+        ),
     ] {
         let reply = client.send("POST", "/jobs", body);
         assert_eq!(reply.status, 400, "spec {body} → {}", reply.body);
