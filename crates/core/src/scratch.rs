@@ -1,7 +1,7 @@
 //! Cross-episode scratch reuse: the zero-realloc substrate of the
 //! Monte-Carlo reliability sweep.
 //!
-//! Every [`crate::MissionContext`] sources its world, `OctoMap` arena and
+//! Every [`crate::MissionContext`] sources its world, `OctoMap` bricks and
 //! point-cloud buffers from an [`EpisodeScratch`] and deposits them back
 //! when the mission finishes. At reliability-sweep scale (10k–1M episodes)
 //! reallocating that state per episode is the bottleneck, so a sweep worker
@@ -36,7 +36,7 @@ pub(crate) struct CloudScratch {
 /// Reusable cross-episode state for [`crate::apps::run_mission_with_scratch`].
 ///
 /// One instance per worker amortises the per-episode allocations across every
-/// episode that worker runs: the octree arena and its indexes, the
+/// episode that worker runs: the map's bricks and its indexes, the
 /// point-cloud buffers, and (for repeated identical environment configs) the
 /// generated world. A default instance is empty — the first episode populates
 /// it — so the type is also the correct "cold start" state.
@@ -71,7 +71,7 @@ impl EpisodeScratch {
     }
 
     /// An empty map with the given geometry, reusing the previous episode's
-    /// arena and index allocations when available ([`OctoMap::reset`] restores
+    /// brick and index allocations when available ([`OctoMap::reset`] restores
     /// the exact fresh-map state).
     pub(crate) fn map_for(&mut self, config: OctoMapConfig, half_extent: f64) -> OctoMap {
         match self.map.take() {

@@ -131,10 +131,7 @@ mod tests {
         assert_eq!(classify("shims/rayon/src/lib.rs"), FileScope::Shim);
         assert_eq!(classify("tests/golden_legacy.rs"), FileScope::Test);
         assert_eq!(classify("crates/runtime/tests/graph.rs"), FileScope::Test);
-        assert_eq!(
-            classify("crates/bench/examples/episode_ab.rs"),
-            FileScope::Test
-        );
+        assert_eq!(classify("examples/quickstart.rs"), FileScope::Test);
         assert_eq!(classify("crates/bench/benches/energy.rs"), FileScope::Test);
     }
 

@@ -1,5 +1,5 @@
 //! Perception kernels for MAVBench-RS: point-cloud generation, the OctoMap
-//! probabilistic occupancy octree, object detection, target tracking and
+//! probabilistic occupancy map, object detection, target tracking and
 //! localization (GPS and a visual-SLAM model).
 //!
 //! These are the Rust substitutes for the kernels the original MAVBench wires

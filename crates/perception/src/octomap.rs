@@ -1,4 +1,4 @@
-//! A probabilistic occupancy octree (the OctoMap kernel).
+//! A probabilistic occupancy map (the OctoMap kernel).
 //!
 //! The paper treats OctoMap generation as the dominant perception kernel of
 //! Package Delivery, 3D Mapping and Search and Rescue, and builds an entire
@@ -6,10 +6,15 @@
 //! more compute per update but let the drone see narrow openings; coarser
 //! voxels are cheap but inflate obstacles until doorways disappear.
 //!
-//! This implementation is a real octree over a cubic domain. Leaves carry
-//! clamped log-odds occupancy; rays carve free space along their length and
-//! mark their endpoint occupied, exactly like the original OctoMap update
-//! rule.
+//! The map is one table of hashed voxel bricks (the layout of voxel hashing
+//! and Voxblox): every 4×4×4-voxel block that holds an observed voxel owns a
+//! brick of 64 clamped log-odds values plus a mask of the slots ever
+//! observed. Rays carve free space along their length and mark their
+//! endpoint occupied, exactly like the original OctoMap update rule. The
+//! cubic domain is still subdivided dyadically: a voxel's centre and its
+//! depth-first rank are those of the full-depth octree leaf covering it, so
+//! every output matches the pointer octree the crate's tests keep as their
+//! oracle bit for bit.
 
 use crate::pointcloud::PointCloud;
 use mav_types::{Aabb, GridIndex, GridSpec, Vec3};
@@ -88,39 +93,42 @@ impl Default for OctoMapConfig {
     }
 }
 
-/// Absent-child sentinel of the node arena.
-const NIL: u32 = u32::MAX;
-
-/// High bit tagging an arena reference as a leaf-pool index; the low 31 bits
-/// then index [`OctoMap::leaf_values`]. An untagged reference indexes
-/// [`OctoMap::nodes`]. `NIL` is reserved (leaf indices stay below
-/// `LEAF_BIT - 1`), so a reference is one of exactly three things: absent,
-/// leaf, or interior.
-const LEAF_BIT: u32 = 1 << 31;
-
-/// Returns `true` when the arena reference points at a leaf.
-fn is_leaf_ref(r: u32) -> bool {
-    r != NIL && r & LEAF_BIT != 0
-}
-
-/// One entry of the incremental free-voxel index: the dedup-winning leaf of a
-/// rounded-centre voxel key, as a full `collect_leaves` walk would report it.
+/// One entry of the known-leaf index: the dedup-winning voxel of a
+/// rounded-centre key, as a full octree leaf walk would report it.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 struct KnownLeaf {
-    /// The leaf centre exactly as the octree descent accumulates it
-    /// (bit-identical to what the tree walk pushes for this leaf).
+    /// The voxel centre exactly as an octree descent accumulates it (see
+    /// `OctoMap::locate`).
     center: Vec3,
-    /// DFS rank of the leaf: the root-to-leaf octant path, packed three bits
-    /// per level, root octant most significant. This totally orders leaves in
-    /// tree-walk order, which reproduces the walk's last-in-walk-order-wins
-    /// dedup when two adjacent leaf centres round to the same voxel key (the
-    /// non-dyadic-resolution merge artifact the golden fixtures pin).
+    /// Depth-first rank of the voxel's octree leaf: the root-to-leaf octant
+    /// path, packed three bits per level, root octant most significant. This
+    /// totally orders voxels in tree-walk order, which reproduces the walk's
+    /// last-in-walk-order-wins dedup when two adjacent voxel centres round to
+    /// the same key (the non-dyadic-resolution merge artifact the golden
+    /// fixtures pin).
     rank: u64,
-    /// Whether the leaf's log-odds currently exceeds the occupied threshold.
+    /// Whether the voxel's log-odds currently exceeds the occupied threshold.
     occupied: bool,
 }
 
-/// The probabilistic occupancy octree.
+/// The observations of one 4×4×4-voxel block. Slot `x + 4y + 16z` holds the
+/// clamped log-odds of that voxel; bit `slot` of `known` is set once the
+/// voxel has been observed. Unknown slots hold 0.0, the value a newly
+/// observed voxel starts from.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct Brick {
+    known: u64,
+    log_odds: [f64; 64],
+}
+
+impl Brick {
+    const EMPTY: Brick = Brick {
+        known: 0,
+        log_odds: [0.0; 64],
+    };
+}
+
+/// The probabilistic occupancy map.
 ///
 /// # Example
 ///
@@ -137,57 +145,40 @@ struct KnownLeaf {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct OctoMap {
     config: OctoMapConfig,
-    /// Half-extent of the cubic octree domain, metres.
+    /// Half-extent of the cubic domain, metres.
     half_extent: f64,
-    /// Tree depth such that leaf size <= resolution.
+    /// Subdivision depth: the domain is 2^depth voxels along each axis.
     depth: u32,
-    /// Interior nodes of the arena-allocated octree: eight tagged child
-    /// references each ([`NIL`] = absent child, high bit set = index into
-    /// `leaf_values`, otherwise an index into this vector). The flat layout
-    /// replaces the old boxed-enum tree, killing one heap allocation and one
-    /// pointer chase per level on every descent — the cost every query and
-    /// ray insertion used to pay.
-    nodes: Vec<[u32; 8]>,
-    /// Leaf log-odds values, stored inline in a flat pool and referenced by
-    /// tagged indices in `nodes`.
-    leaf_values: Vec<f64>,
-    /// Tagged reference to the root node; [`NIL`] while nothing was observed.
-    root: u32,
     grid: GridSpec,
-    /// Number of leaf updates performed (a proxy for the work the kernel did).
+    /// Number of voxel updates performed (a proxy for the work the kernel
+    /// did).
     updates: u64,
-    /// Flat spatial index over the occupied leaf voxels, maintained
-    /// incrementally by every leaf update (ray insertion, parallel scan
-    /// insertion and re-resolution all funnel through
+    /// Flat spatial index over the occupied voxels, maintained by every
+    /// voxel creation and occupancy flip (all of which funnel through
     /// [`OctoMap::update_leaf_apply`]). Keys are [`pack_voxel_key`]s of
     /// 4×4×4-voxel *block* coordinates; values are 64-bit occupancy masks of
-    /// the block's voxels. Collision queries walk this hash index instead of
-    /// descending the octree once per neighbour voxel.
+    /// the block's voxels. Collision queries walk only the blocks that hold
+    /// an occupied voxel.
     occupied_blocks: HashMap<u64, u64, VoxelHashBuilder>,
-    /// Number of occupied leaf voxels, kept exactly in sync with the tree
-    /// (the same per-voxel occupancy the collision queries see).
+    /// Number of occupied voxels, kept exactly in sync with the bricks.
     occupied_count: usize,
-    /// The incremental free-voxel index: for every rounded-centre voxel key,
-    /// the dedup-winning leaf a full `collect_leaves` walk would report
-    /// (centre, walk rank and occupancy flag), maintained by every leaf
-    /// update. [`OctoMap::known_voxel_count`] is this map's size — the same
-    /// dedup-by-rounded-centre accounting the tree walk has always used (at
-    /// non-dyadic resolutions adjacent leaf centres can round to the same
-    /// key; golden mission fixtures pin that behaviour) — and
-    /// [`OctoMap::free_voxel_centers`] filters its values, so frontier
-    /// extraction no longer pays a full-tree walk per call.
+    /// The known-leaf index: for every rounded-centre voxel key, the
+    /// dedup-winning voxel a full octree leaf walk would report (centre,
+    /// walk rank and occupancy flag). [`OctoMap::known_voxel_count`] is this
+    /// map's size — the dedup-by-rounded-centre accounting the tree walk has
+    /// always used (at non-dyadic resolutions adjacent voxel centres can
+    /// round to the same key; golden mission fixtures pin that behaviour) —
+    /// and [`OctoMap::free_voxel_centers`] filters its values.
     known_leaves: HashMap<u64, KnownLeaf, VoxelHashBuilder>,
-    /// The known-voxel block table: [`pack_voxel_key`]s of 4×4×4-voxel block
-    /// coordinates → index into `bricks`. Leaves are only ever created (never
-    /// removed short of [`OctoMap::clear`]), so the table is append-only.
+    /// The brick table: [`pack_voxel_key`]s of 4×4×4-voxel block coordinates
+    /// → index into `bricks`. Voxels are only ever created (never removed
+    /// short of [`OctoMap::clear`]), so the table is append-only.
     known_blocks: HashMap<u64, u32, VoxelHashBuilder>,
-    /// One brick per entry of `known_blocks`: slot `x + 4y + 16z` holds the
-    /// leaf-pool index of that voxel's leaf, or [`NIL`] while the voxel is
-    /// unknown. This gives every leaf an O(1) address: ray insertion updates
-    /// an existing leaf with one hash probe instead of a root-to-leaf descent,
-    /// and frontier extraction answers its unknown-neighbour probes without
-    /// descending at all.
-    bricks: Vec<[u32; 64]>,
+    /// One brick per entry of `known_blocks`: the map's only store of
+    /// log-odds. Every observed voxel has an O(1) address, so a ray crossing
+    /// costs one hash probe and frontier extraction answers its
+    /// unknown-neighbour probes from the `known` masks.
+    bricks: Vec<Brick>,
 }
 
 impl OctoMap {
@@ -204,9 +195,6 @@ impl OctoMap {
             config,
             half_extent: 0.0,
             depth: 0,
-            nodes: Vec::new(),
-            leaf_values: Vec::new(),
-            root: NIL,
             updates: 0,
             occupied_blocks: HashMap::with_hasher(VoxelHashBuilder::default()),
             occupied_count: 0,
@@ -219,17 +207,14 @@ impl OctoMap {
     }
 
     /// Empties the map back to the just-constructed state while keeping the
-    /// arena, leaf pool, block indexes and free-voxel index allocations
-    /// (their `Vec`/`HashMap` capacities survive). The domain geometry is
-    /// unchanged; use [`OctoMap::reset`] to also reshape it. Because every
-    /// mutation funnels through the same leaf-update path and arena indices
-    /// restart at zero, a cleared map is bit-identical to a fresh
-    /// [`OctoMap::new`] under any subsequent update sequence — the property
-    /// the episode-reuse layer (and its proptests) rely on.
+    /// brick, block-index and known-leaf index allocations (their
+    /// `Vec`/`HashMap` capacities survive). The domain geometry is unchanged;
+    /// use [`OctoMap::reset`] to also reshape it. Because every mutation
+    /// funnels through the same voxel-update path and brick indices restart
+    /// at zero, a cleared map is bit-identical to a fresh [`OctoMap::new`]
+    /// under any subsequent update sequence — the property the episode-reuse
+    /// layer (and its proptests) rely on.
     pub fn clear(&mut self) {
-        self.nodes.clear();
-        self.leaf_values.clear();
-        self.root = NIL;
         self.updates = 0;
         self.occupied_blocks.clear();
         self.occupied_count = 0;
@@ -262,7 +247,7 @@ impl OctoMap {
 
     /// Checks that a map of voxel size `resolution` can cover the cube
     /// `[-half_extent, half_extent]³`: both must be finite and positive, and
-    /// the octree's power-of-two domain must fit the voxel keys every index
+    /// the power-of-two domain must fit the voxel keys every index
     /// and query is served from. Those keys hold voxel indices below 2^20
     /// in magnitude, so the aligned half-extent must span fewer than 2^20
     /// voxels; queries then reach at most one voxel past the domain without
@@ -298,11 +283,11 @@ impl OctoMap {
         }
     }
 
-    /// Tree depth and half-extent of the domain `reset` builds: widened so
-    /// that each octree leaf is exactly one `resolution`-sized voxel and leaf
-    /// boundaries align with the ray traversal grid; otherwise a leaf could
-    /// straddle two traversal cells and updates/queries would disagree near
-    /// voxel boundaries.
+    /// Subdivision depth and half-extent of the domain `reset` builds:
+    /// widened so that each full-depth cell of the dyadic subdivision is
+    /// exactly one `resolution`-sized voxel whose boundaries align with the
+    /// ray traversal grid; otherwise a cell could straddle two traversal
+    /// cells and updates/queries would disagree near voxel boundaries.
     fn aligned_domain(resolution: f64, half_extent: f64) -> (u32, f64) {
         let leaves_per_axis = (2.0 * half_extent / resolution).ceil().max(1.0);
         let depth = (leaves_per_axis.log2().ceil() as u32).max(1);
@@ -320,17 +305,17 @@ impl OctoMap {
         self.config.resolution
     }
 
-    /// The octree depth.
+    /// The subdivision depth: the domain is 2^depth voxels along each axis.
     pub fn depth(&self) -> u32 {
         self.depth
     }
 
-    /// Number of leaf updates performed since construction.
+    /// Number of voxel updates performed since construction.
     pub fn update_count(&self) -> u64 {
         self.updates
     }
 
-    /// Returns `true` when `point` lies inside the octree domain.
+    /// Returns `true` when `point` lies inside the map domain.
     pub fn in_domain(&self, point: &Vec3) -> bool {
         point.x.abs() <= self.half_extent
             && point.y.abs() <= self.half_extent
@@ -338,11 +323,11 @@ impl OctoMap {
     }
 
     /// Enumerates the in-domain (voxel index, voxel centre, log-odds delta)
-    /// updates of one sensor ray, without touching the tree. Shared by
+    /// updates of one sensor ray, without touching the map. Shared by
     /// [`OctoMap::insert_ray`] and the parallel scan grouping so the two can
     /// never disagree on ray semantics (truncation, hit vs miss, domain
     /// filtering). An associated function over copies of the cheap geometry
-    /// state, so callers may mutate the tree from inside `apply`.
+    /// state, so callers may mutate the map from inside `apply`.
     fn for_each_ray_update(
         grid: GridSpec,
         config: OctoMapConfig,
@@ -400,20 +385,19 @@ impl OctoMap {
     }
 
     /// One ray crossing of traversal cell `cell` (centre `center`). When the
-    /// cell's leaf already exists and the update leaves its occupancy
-    /// unchanged, only the leaf value and the update counter move, so the
-    /// leaf is updated in place through its brick slot. A new leaf or an
-    /// occupancy flip takes the descent in [`OctoMap::update_leaf`], which
-    /// owns every index and counter. Exact because `aligned_domain` makes
-    /// leaves coincide with traversal cells and the clamp arithmetic is the
-    /// descent's.
+    /// voxel is already known and the update leaves its occupancy unchanged,
+    /// only its value and the update counter move, so the brick slot is
+    /// updated in place. A new voxel or an occupancy flip takes
+    /// [`OctoMap::update_leaf`], which owns every index and counter. Exact
+    /// because `aligned_domain` makes voxels coincide with traversal cells
+    /// and the clamp arithmetic is the same.
     fn update_cell(&mut self, cell: &GridIndex, center: &Vec3, delta: f64) {
         let (block, slot) = block_of(cell);
         if let Some(&brick) = self.known_blocks.get(&pack_voxel_key(&block)) {
-            let leaf = self.bricks[brick as usize][slot];
-            if leaf != NIL {
+            let brick = &mut self.bricks[brick as usize];
+            if brick.known & (1 << slot) != 0 {
                 let (clamp, threshold) = (self.config.clamp, self.config.occupied_threshold);
-                let value = &mut self.leaf_values[leaf as usize];
+                let value = &mut brick.log_odds[slot];
                 let after = (*value + delta).clamp(clamp.0, clamp.1);
                 if (*value > threshold) == (after > threshold) {
                     *value = after;
@@ -494,17 +478,10 @@ impl OctoMap {
     /// worker grouping each chunk's per-voxel deltas; merging the chunk
     /// groupings in chunk order reproduces the serial first-touch grouping
     /// exactly, because chunks are contiguous in ray order. (2) Workers fold
-    /// every voxel's ordered delta sequence through the clamp chain against a
-    /// read-only probe of the pre-scan tree. (3) A serial commit descends
-    /// once per voxel in grouping order and stores the folded values,
-    /// updating the occupancy indexes and counters through the single
-    /// `OctoMap::update_leaf_apply` funnel.
-    ///
-    /// Phase 2's probe assumes distinct voxels resolve to distinct leaves; a
-    /// coarse (shallower-than-full-depth) leaf on a probed path could be
-    /// shared by several updated voxels, so that case — which never arises
-    /// from ray insertion, only from exotic hand-built maps — falls back to
-    /// the serial fold in phase 3.
+    /// every voxel's ordered delta sequence through the clamp chain, starting
+    /// from the voxel's pre-scan brick value. (3) A serial commit stores the
+    /// folded values in grouping order, updating the occupancy indexes and
+    /// counters through the single `OctoMap::update_leaf_apply` funnel.
     pub fn insert_point_cloud_parallel(&mut self, cloud: &PointCloud, threads: usize) {
         let threads = threads.max(1);
         let (grid, config, half_extent) = (self.grid, self.config, self.half_extent);
@@ -535,10 +512,11 @@ impl OctoMap {
                 }
             }
         }
-        // Phase 2: read-only probe + clamp-chain fold per voxel, on workers.
+        // Phase 2: read-only brick probe + clamp-chain fold per voxel, on
+        // workers.
         let clamp = config.clamp;
         let chunk = grouped.len().div_ceil(threads).max(1);
-        let folded: Vec<(f64, bool)> = {
+        let folded: Vec<f64> = {
             use rayon::prelude::*;
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)
@@ -551,16 +529,12 @@ impl OctoMap {
                         entries
                             .iter()
                             .map(|(center, first, rest)| {
-                                let probe = self.probe_leaf(center);
-                                let shallow = matches!(probe, Some((_, false)));
-                                let mut value = probe
-                                    .map(|(leaf, _)| self.leaf_values[leaf as usize])
-                                    .unwrap_or(0.0);
+                                let mut value = self.leaf_log_odds(center).unwrap_or(0.0);
                                 value = (value + first).clamp(clamp.0, clamp.1);
                                 for delta in rest {
                                     value = (value + delta).clamp(clamp.0, clamp.1);
                                 }
-                                (value, shallow)
+                                value
                             })
                             .collect::<Vec<_>>()
                     })
@@ -571,22 +545,7 @@ impl OctoMap {
             .collect()
         };
         // Phase 3: deterministic serial commit in grouping order.
-        if folded.iter().any(|&(_, shallow)| shallow) {
-            // Coarse leaf on a probed path: the folded values may not be
-            // independent per voxel. Apply each voxel's grouped deltas
-            // serially, one descent per voxel.
-            for (center, first, rest) in grouped {
-                let count = 1 + rest.len() as u64;
-                self.update_leaf_apply(&center, count, move |log_odds| {
-                    *log_odds = (*log_odds + first).clamp(clamp.0, clamp.1);
-                    for delta in &rest {
-                        *log_odds = (*log_odds + delta).clamp(clamp.0, clamp.1);
-                    }
-                });
-            }
-            return;
-        }
-        for ((center, _, rest), (value, _)) in grouped.iter().zip(folded) {
+        for ((center, _, rest), value) in grouped.iter().zip(folded) {
             let count = 1 + rest.len() as u64;
             self.update_leaf_apply(center, count, move |log_odds| *log_odds = value);
         }
@@ -609,12 +568,12 @@ impl OctoMap {
     /// treated as free here; planners that must be conservative should also
     /// call [`OctoMap::query`] on the point itself.
     ///
-    /// Served from the occupied-voxel hash index: instead of one octree
-    /// descent per voxel of the inflation cube, the query enumerates the few
+    /// Served from the occupied-voxel hash index: instead of one point query
+    /// per voxel of the inflation cube, the query enumerates the few
     /// occupied voxels inside it straight from the block bitmasks and
     /// classifies each against a precomputed offset ball. Decision-identical
-    /// to the per-voxel tree scan it replaced, which the crate's tests keep
-    /// as the oracle.
+    /// to the per-voxel scan it replaced, which the crate's tests keep as the
+    /// oracle.
     pub fn is_occupied_with_inflation(&self, point: &Vec3, radius: f64) -> bool {
         if self.occupied_count == 0 {
             return false;
@@ -688,14 +647,14 @@ impl OctoMap {
     /// a vehicle of half-width `radius`, avoids every occupied voxel.
     ///
     /// Decision-identical to the sampled predicate it replaced (a point
-    /// sample every half-resolution, each an inflation-cube tree scan; the
+    /// sample every half-resolution, each an inflation-cube voxel scan; the
     /// crate's tests keep it as the oracle). This path walks the segment's
     /// crossed voxels with the grid DDA and probes the occupied-voxel index
     /// over the swept corridor — one bitmask probe per block instead of
     /// re-querying the whole inflation neighbourhood at every sample. Only
     /// when the corridor contains an occupied voxel does the exact sampled
     /// predicate run (against the indexed point query), so the common
-    /// planner case — a free segment — never touches the octree at all.
+    /// planner case — a free segment — never reads a brick at all.
     pub fn segment_free(&self, a: &Vec3, b: &Vec3, radius: f64) -> bool {
         if self.occupied_count == 0 {
             return true;
@@ -882,16 +841,16 @@ impl OctoMap {
         false
     }
 
-    /// Number of occupied leaf voxels. O(1): served from the incrementally
-    /// maintained counter, which the crate's tests check against a full tree
-    /// walk.
+    /// Number of occupied voxels. O(1): served from the incrementally
+    /// maintained counter, which the crate's tests check against the
+    /// pointer-octree oracle.
     pub fn occupied_voxel_count(&self) -> usize {
         self.occupied_count
     }
 
-    /// Number of observed (free or occupied) leaf voxels. O(1): the size of
-    /// the incrementally maintained key set, which reproduces the historical
-    /// tree-walk accounting exactly (including its dedup by rounded centre).
+    /// Number of observed (free or occupied) voxels. O(1): the size of the
+    /// known-leaf index, which reproduces the historical octree-walk
+    /// accounting exactly (including its dedup by rounded centre).
     pub fn known_voxel_count(&self) -> usize {
         self.known_leaves.len()
     }
@@ -903,10 +862,9 @@ impl OctoMap {
 
     /// Centres of all known free voxels. Frontier extraction builds on this.
     ///
-    /// Served from the incremental free-voxel index — O(known voxels) with no
-    /// tree traversal — and bit-identical (centres, set membership and order)
-    /// to the full tree walk it replaced, which the crate's tests keep as the
-    /// oracle.
+    /// Served from the known-leaf index — O(known voxels) — and
+    /// bit-identical (centres, set membership and order) to the octree leaf
+    /// walk it replaced, which the crate's tests keep as the oracle.
     pub fn free_voxel_centers(&self) -> Vec<Vec3> {
         let mut centers = Vec::new();
         self.free_voxel_centers_into(&mut centers);
@@ -941,9 +899,9 @@ impl OctoMap {
     /// Centres of all occupied voxels.
     ///
     /// Served from the occupied block-bitmask index: one `center_of` per set
-    /// mask bit instead of a full tree walk. Unlike that walk this is exact
-    /// per-leaf (the walk's rounded-centre dedup can merge two adjacent
-    /// leaves at non-dyadic resolutions), and centres are the grid's
+    /// mask bit. Unlike an octree leaf walk this is exact per voxel (the
+    /// walk's rounded-centre dedup can merge two adjacent voxels at
+    /// non-dyadic resolutions), and centres are the grid's
     /// canonical voxel centres.
     pub fn occupied_voxel_centers(&self) -> Vec<Vec3> {
         let mut centers = Vec::new();
@@ -991,20 +949,17 @@ impl OctoMap {
     /// free voxel every replan.
     ///
     /// Decision-identical to probing `point ± resolution` along each axis
-    /// with [`OctoMap::is_unknown`] (property-tested), but served from the
-    /// known-voxel block table: six hash-indexed slot reads instead of six
-    /// octree descents. An out-of-domain neighbour has no leaf, so it reads
-    /// as unknown from the index exactly as [`OctoMap::query`] reports it;
-    /// neighbour indices sit at most one voxel outside the domain, within the
-    /// alias-free range [`OctoMap::check_domain`] guarantees.
+    /// with [`OctoMap::is_unknown`] (property-tested), but served by grid
+    /// index: six brick `known`-bit reads with no boundary comparisons. An
+    /// out-of-domain neighbour is never observed, so it reads as unknown
+    /// exactly as [`OctoMap::query`] reports it; neighbour indices sit at
+    /// most one voxel outside the domain, within the alias-free range
+    /// [`OctoMap::check_domain`] guarantees.
     pub fn has_unknown_neighbor6(&self, point: &Vec3) -> bool {
         let idx = self.grid.index_of(point);
-        idx.neighbors6().iter().any(|n| {
-            let (block, slot) = block_of(n);
-            self.known_blocks
-                .get(&pack_voxel_key(&block))
-                .is_none_or(|&brick| self.bricks[brick as usize][slot] == NIL)
-        })
+        idx.neighbors6()
+            .iter()
+            .any(|n| self.cell_log_odds(n).is_none())
     }
 
     /// Rebuilds this map's observations into a new map at a different
@@ -1030,7 +985,7 @@ impl OctoMap {
         Ok(out)
     }
 
-    /// Axis-aligned bounds of the octree domain.
+    /// Axis-aligned bounds of the map domain.
     pub fn domain(&self) -> Aabb {
         Aabb::new(
             Vec3::splat(-self.half_extent),
@@ -1039,77 +994,61 @@ impl OctoMap {
     }
 
     // ------------------------------------------------------------------
-    // Internal octree machinery.
+    // Internal brick-map machinery.
     // ------------------------------------------------------------------
 
-    fn leaf_log_odds(&self, point: &Vec3) -> Option<f64> {
-        self.probe_leaf(point)
-            .map(|(leaf, _)| self.leaf_values[leaf as usize])
-    }
-
-    /// Read-only descent to the leaf covering `point`: its leaf-pool index
-    /// and whether it sits at full depth (`false` marks a coarse leaf that an
-    /// update would have to push down). `None` when no leaf exists on the
-    /// path — an update would then create one starting from 0.0.
-    fn probe_leaf(&self, point: &Vec3) -> Option<(u32, bool)> {
-        let mut r = self.root;
+    /// Locates the voxel containing `point` by the octree descent's
+    /// comparisons, without a tree: per level and axis the centre moves a
+    /// quarter of the current half-extent toward `point` (`>=` takes the
+    /// upper half). Returns the voxel index, the centre exactly as that
+    /// chain of additions accumulates it, and the depth-first rank of the
+    /// full-depth leaf (see [`KnownLeaf::rank`]). The branch bits of each
+    /// axis are its voxel index biased by `2^(depth-1)`. Points outside the
+    /// domain land in the nearest boundary voxel, as the descent did.
+    ///
+    /// This, not `GridSpec::index_of`, decides which voxel a point on a
+    /// voxel boundary belongs to: [`OctoMap::reresolved`] inserts old voxel
+    /// centres that can sit exactly on the new grid's boundaries (a 0.8 m
+    /// centre at 1.2 m is a 0.15 m boundary).
+    fn locate(&self, point: &Vec3) -> (GridIndex, Vec3, u64) {
+        /// Moves `c` a quarter toward `p`; returns the branch bit.
+        fn halve(p: f64, c: &mut f64, quarter: f64) -> u64 {
+            if p >= *c {
+                *c += quarter;
+                1
+            } else {
+                *c -= quarter;
+                0
+            }
+        }
         let mut center = Vec3::ZERO;
+        let (mut bx, mut by, mut bz, mut rank) = (0u64, 0u64, 0u64, 0u64);
         let mut half = self.half_extent;
         for _ in 0..self.depth {
-            if r == NIL {
-                return None;
-            }
-            if r & LEAF_BIT != 0 {
-                return Some((r & !LEAF_BIT, false));
-            }
-            let (idx, child_center) = child_of(point, &center, half);
-            r = self.nodes[r as usize][idx];
-            center = child_center;
-            half /= 2.0;
+            let quarter = half / 2.0;
+            let x = halve(point.x, &mut center.x, quarter);
+            let y = halve(point.y, &mut center.y, quarter);
+            let z = halve(point.z, &mut center.z, quarter);
+            (bx, by, bz) = (bx << 1 | x, by << 1 | y, bz << 1 | z);
+            rank = rank << 3 | x | y << 1 | z << 2;
+            half = quarter;
         }
-        if is_leaf_ref(r) {
-            Some((r & !LEAF_BIT, true))
-        } else {
-            None
-        }
+        let bias = 1i64 << (self.depth - 1);
+        let cell = GridIndex::new(bx as i64 - bias, by as i64 - bias, bz as i64 - bias);
+        (cell, center, rank)
     }
 
-    /// Allocates an interior node with no children, returning its reference.
-    fn alloc_inner(&mut self) -> u32 {
-        let index = self.nodes.len() as u32;
-        assert!(
-            index < LEAF_BIT,
-            "octree arena interior-node pool exhausted"
-        );
-        self.nodes.push([NIL; 8]);
-        index
+    /// Log-odds of voxel `cell`, or `None` while it is unknown.
+    fn cell_log_odds(&self, cell: &GridIndex) -> Option<f64> {
+        let (block, slot) = block_of(cell);
+        let brick = &self.bricks[*self.known_blocks.get(&pack_voxel_key(&block))? as usize];
+        (brick.known & (1 << slot) != 0).then_some(brick.log_odds[slot])
     }
 
-    /// Allocates a leaf holding `value`, returning its tagged reference.
-    fn alloc_leaf(&mut self, value: f64) -> u32 {
-        let index = self.leaf_values.len() as u32;
-        assert!(index < LEAF_BIT - 1, "octree arena leaf pool exhausted");
-        self.leaf_values.push(value);
-        LEAF_BIT | index
-    }
-
-    /// Reads the arena slot `(parent, octant)`; a [`NIL`] parent means the
-    /// root slot.
-    fn read_slot(&self, slot: (u32, usize)) -> u32 {
-        if slot.0 == NIL {
-            self.root
-        } else {
-            self.nodes[slot.0 as usize][slot.1]
-        }
-    }
-
-    /// Overwrites the arena slot `(parent, octant)` with `node`.
-    fn write_slot(&mut self, slot: (u32, usize), node: u32) {
-        if slot.0 == NIL {
-            self.root = node;
-        } else {
-            self.nodes[slot.0 as usize][slot.1] = node;
-        }
+    /// Log-odds of the voxel containing `point`, or `None` while it is
+    /// unknown.
+    fn leaf_log_odds(&self, point: &Vec3) -> Option<f64> {
+        self.cell_log_odds(&self.locate(point).0)
     }
 
     fn update_leaf(&mut self, point: &Vec3, delta: f64) {
@@ -1119,44 +1058,63 @@ impl OctoMap {
         });
     }
 
-    /// Applies `apply` to the leaf value containing `point` in a single tree
-    /// descent, recording `count` leaf updates. The parallel commit stores a
-    /// whole voxel's folded delta sequence through one descent this way.
+    /// Applies `apply` to the log-odds of the voxel containing `point`
+    /// (0.0 for a voxel observed for the first time), recording `count`
+    /// voxel updates. The parallel commit stores a whole voxel's folded
+    /// delta sequence this way.
     ///
-    /// Every leaf creation and occupancy flip flows through here — single
+    /// Every voxel creation and occupancy flip flows through here — single
     /// rays, parallel scans and [`OctoMap::reresolved`] alike — so this is
-    /// the one place the block indexes, the free-voxel index and the O(1)
-    /// counters are kept in sync with the tree. (A ray crossing that neither
-    /// creates a leaf nor flips it skips the descent; see
+    /// the one place the occupied-block index, the known-leaf index and the
+    /// O(1) counters are kept in sync with the bricks. (A ray crossing that
+    /// neither creates a voxel nor flips it skips this; see
     /// `OctoMap::update_cell`.)
     fn update_leaf_apply<F: FnOnce(&mut f64)>(&mut self, point: &Vec3, count: u64, apply: F) {
         if !self.in_domain(point) {
             return;
         }
-        let touch = self.descend_apply(point, apply);
+        let (cell, center, rank) = self.locate(point);
+        let (block, slot) = block_of(&cell);
+        let bricks = &mut self.bricks;
+        let brick = *self
+            .known_blocks
+            .entry(pack_voxel_key(&block))
+            .or_insert_with(|| {
+                bricks.push(Brick::EMPTY);
+                (bricks.len() - 1) as u32
+            });
+        let brick = &mut self.bricks[brick as usize];
+        let bit = 1u64 << slot;
+        let created = brick.known & bit == 0;
+        brick.known |= bit;
+        let before = brick.log_odds[slot];
+        apply(&mut brick.log_odds[slot]);
+        let after = brick.log_odds[slot];
         self.updates += count;
         let threshold = self.config.occupied_threshold;
-        let now = touch.after > threshold;
-        if touch.created {
-            // The same dedup key collect_leaves() computes from this leaf's
-            // centre during a tree walk (bit-identical: the descent
-            // accumulates the centre with the exact additions the walk uses).
-            // When two leaves collide on a key, the one later in walk order
-            // wins, exactly as the walk's last-wins dedup insert decides.
-            let res = self.config.resolution;
-            let key = pack_voxel_key(&GridIndex::new(
-                (touch.center.x / res).round() as i64,
-                (touch.center.y / res).round() as i64,
-                (touch.center.z / res).round() as i64,
-            ));
+        let now = after > threshold;
+        let was = !created && before > threshold;
+        if !created && was == now {
+            return;
+        }
+        // The dedup key a leaf walk computes from this voxel's centre. When
+        // two voxels collide on a key, the one later in walk order wins,
+        // exactly as the walk's last-wins dedup insert decides.
+        let res = self.config.resolution;
+        let key = pack_voxel_key(&GridIndex::new(
+            (center.x / res).round() as i64,
+            (center.y / res).round() as i64,
+            (center.z / res).round() as i64,
+        ));
+        if created {
             let leaf = KnownLeaf {
-                center: touch.center,
-                rank: touch.rank,
+                center,
+                rank,
                 occupied: now,
             };
             match self.known_leaves.entry(key) {
                 std::collections::hash_map::Entry::Occupied(mut entry) => {
-                    if entry.get().rank <= touch.rank {
+                    if entry.get().rank <= rank {
                         entry.insert(leaf);
                     }
                 }
@@ -1164,23 +1122,13 @@ impl OctoMap {
                     entry.insert(leaf);
                 }
             }
-            // A materialised leaf marks its voxel known forever (leaves are
-            // never removed short of `clear`), so the block table is
-            // append-only. Keyed off the leaf centre exactly like the
-            // occupied-block index below.
-            let idx = self.grid.index_of(&touch.center);
-            let (block, slot) = block_of(&idx);
-            let bricks = &mut self.bricks;
-            let brick = *self
-                .known_blocks
-                .entry(pack_voxel_key(&block))
-                .or_insert_with(|| {
-                    bricks.push([NIL; 64]);
-                    (bricks.len() - 1) as u32
-                });
-            self.bricks[brick as usize][slot] = touch.leaf;
+        } else if let Some(entry) = self.known_leaves.get_mut(&key) {
+            // A flip reaches the index only through its key's dedup winner;
+            // a shadowed voxel is invisible to the walk this index mirrors.
+            if entry.rank == rank {
+                entry.occupied = now;
+            }
         }
-        let was = !touch.created && touch.before > threshold;
         if was == now {
             return;
         }
@@ -1189,30 +1137,7 @@ impl OctoMap {
         } else {
             self.occupied_count -= 1;
         }
-        if !touch.created {
-            // Keep the free-voxel index's occupancy flag in step — but only
-            // when the crossing leaf is its key's dedup winner; a shadowed
-            // leaf is invisible to the tree walk this index mirrors.
-            let res = self.config.resolution;
-            let key = pack_voxel_key(&GridIndex::new(
-                (touch.center.x / res).round() as i64,
-                (touch.center.y / res).round() as i64,
-                (touch.center.z / res).round() as i64,
-            ));
-            if let Some(entry) = self.known_leaves.get_mut(&key) {
-                if entry.rank == touch.rank {
-                    entry.occupied = now;
-                }
-            }
-        }
-        // Key the index entry off the *leaf's own centre* (mid-cell, so never
-        // within floating-point noise of a cell boundary), not the update
-        // point: an update point sitting exactly on a boundary then maps to
-        // whichever leaf the descent actually touched.
-        let idx = self.grid.index_of(&touch.center);
-        let (block, slot) = block_of(&idx);
         let key = pack_voxel_key(&block);
-        let bit = 1u64 << slot;
         if now {
             *self.occupied_blocks.entry(key).or_insert(0) |= bit;
         } else if let Some(mask) = self.occupied_blocks.get_mut(&key) {
@@ -1223,134 +1148,28 @@ impl OctoMap {
         }
     }
 
-    /// The mutating arena descent: walks (and where needed materialises) the
-    /// path from the root to the leaf covering `point`, applies `apply` to
-    /// its log-odds, and reports what happened, including the leaf-pool index
-    /// the block table records. Semantically identical to the old recursive
-    /// pointer-tree update, including the coarse-leaf pushdown
-    /// (the leaf slot rides down into the descended octant, so no pool entry
-    /// is orphaned) and the replace-an-interior-node-at-full-depth repair.
-    fn descend_apply<F: FnOnce(&mut f64)>(&mut self, point: &Vec3, apply: F) -> LeafTouch {
-        if self.root == NIL {
-            self.root = self.alloc_inner();
-        }
-        // `(NIL, _)` addresses the root slot; see `read_slot`/`write_slot`.
-        let mut slot: (u32, usize) = (NIL, 0);
-        let mut center = Vec3::ZERO;
-        let mut half = self.half_extent;
-        let mut rank: u64 = 0;
-        let mut created = false;
-        let mut remaining = self.depth;
-        loop {
-            let r = self.read_slot(slot);
-            if remaining == 0 {
-                if is_leaf_ref(r) {
-                    let leaf = r & !LEAF_BIT;
-                    let value = &mut self.leaf_values[leaf as usize];
-                    let before = *value;
-                    apply(value);
-                    return LeafTouch {
-                        created,
-                        before,
-                        after: *value,
-                        center,
-                        rank,
-                        leaf,
-                    };
-                }
-                // Should be a leaf; replace an inner node if one snuck in.
-                let mut log_odds = 0.0;
-                apply(&mut log_odds);
-                let leaf = self.alloc_leaf(log_odds);
-                self.write_slot(slot, leaf);
-                return LeafTouch {
-                    created: true,
-                    before: 0.0,
-                    after: log_odds,
-                    center,
-                    rank,
-                    leaf: leaf & !LEAF_BIT,
-                };
-            }
-            if is_leaf_ref(r) {
-                // A coarse leaf observed at a shallower depth: refine it by
-                // pushing its value down along the descended octant (simple
-                // expansion), reusing the leaf's pool slot.
-                let inner = self.alloc_inner();
-                self.write_slot(slot, inner);
-                let (idx, child_center) = child_of(point, &center, half);
-                self.nodes[inner as usize][idx] = r;
-                slot = (inner, idx);
-                center = child_center;
-                half /= 2.0;
-                remaining -= 1;
-                rank = (rank << 3) | idx as u64;
-                continue;
-            }
-            let (idx, child_center) = child_of(point, &center, half);
-            if self.nodes[r as usize][idx] == NIL {
-                let child = if remaining == 1 {
-                    // A leaf materialised by this descent is a newly observed
-                    // voxel.
-                    created = true;
-                    self.alloc_leaf(0.0)
-                } else {
-                    self.alloc_inner()
-                };
-                self.nodes[r as usize][idx] = child;
-            }
-            slot = (r, idx);
-            center = child_center;
-            half /= 2.0;
-            remaining -= 1;
-            rank = (rank << 3) | idx as u64;
-        }
-    }
-
+    /// Every observed voxel's (centre, log-odds) as a leaf walk reports it:
+    /// deduplicated by rounded centre (the known-leaf index's winners) and
+    /// sorted by coordinates.
     fn collect_leaves(&self) -> Vec<(Vec3, f64)> {
-        let mut out = Vec::new();
-        if self.root != NIL {
-            self.collect_arena(self.root, Vec3::ZERO, self.half_extent, &mut out);
-        }
-        // Merge duplicates (possible when a coarse leaf was later refined) by
-        // keeping the most recently observed value — here, simply the last.
-        let mut dedup: HashMap<(i64, i64, i64), (Vec3, f64)> = HashMap::new();
-        for (c, l) in out {
-            let key = (
-                (c.x / self.config.resolution).round() as i64,
-                (c.y / self.config.resolution).round() as i64,
-                (c.z / self.config.resolution).round() as i64,
-            );
-            dedup.insert(key, (c, l));
-        }
-        let mut v: Vec<(Vec3, f64)> = dedup.into_values().collect();
+        let mut leaves: Vec<(Vec3, f64)> = self
+            .known_leaves
+            .values()
+            .filter_map(|leaf| Some((leaf.center, self.leaf_log_odds(&leaf.center)?)))
+            .collect();
         // Chained `total_cmp` ≡ the historical `partial_cmp` tuple sort:
-        // leaf centres sit at (k + ½)·resolution, so they are finite, never
+        // voxel centres sit at (k + ½)·resolution, so they are finite, never
         // ±0.0, and pairwise distinct after the dedup — the comparators can
         // only disagree on values that never occur here (same argument as
         // the `free_voxel_centers_into` hot path).
-        v.sort_by(|a, b| {
+        leaves.sort_by(|a, b| {
             a.0.x
                 .total_cmp(&b.0.x)
                 .then(a.0.y.total_cmp(&b.0.y))
                 .then(a.0.z.total_cmp(&b.0.z))
         });
-        v
+        leaves
     }
-}
-
-/// What one tree descent did to the leaf it reached: whether the leaf was
-/// created by this update, its log-odds before and after, the leaf's own
-/// centre (the authoritative identity of the voxel it covers), its DFS rank
-/// (see [`KnownLeaf::rank`]) and its leaf-pool index. This is what keeps the
-/// block indexes, the free-voxel index and the O(1) counters exact.
-struct LeafTouch {
-    created: bool,
-    before: f64,
-    after: f64,
-    center: Vec3,
-    rank: u64,
-    leaf: u32,
 }
 
 /// Offset added to each voxel-index axis before it is packed into 21 bits:
@@ -1382,7 +1201,7 @@ fn unpack_voxel_key(key: u64) -> GridIndex {
 
 /// [`pack_voxel_key`] for query neighbourhoods, which may legitimately reach
 /// beyond the packing range: any index at or beyond ±[`KEY_BIAS`] has its
-/// centre outside the octree domain, so `None` simply means "unobservable,
+/// centre outside the map domain, so `None` simply means "unobservable,
 /// never occupied".
 fn pack_voxel_key_checked(cell: &GridIndex) -> Option<u64> {
     if cell.x.abs() < KEY_BIAS && cell.y.abs() < KEY_BIAS && cell.z.abs() < KEY_BIAS {
@@ -1553,10 +1372,10 @@ fn offset_ball(resolution: f64, radius: f64) -> Rc<OffsetBall> {
 
 /// A cheap multiply-xor hasher for packed voxel keys.
 ///
-/// Ray insertion probes the block table on every ray/voxel crossing; the
-/// standard SipHash costs more per crossing than the tree descent it is
-/// meant to save. Voxel keys are single, adversary-free integers, so one
-/// SplitMix-style mix is plenty.
+/// Ray insertion probes the block table on every ray/voxel crossing, where
+/// the standard SipHash would cost more than the rest of the crossing.
+/// Voxel keys are single, adversary-free integers, so one SplitMix-style mix
+/// is plenty.
 #[derive(Clone, Copy, Default)]
 struct VoxelHasher(u64);
 
@@ -1581,102 +1400,10 @@ impl std::hash::Hasher for VoxelHasher {
 
 type VoxelHashBuilder = std::hash::BuildHasherDefault<VoxelHasher>;
 
-/// Index (0..8) and centre of the child octant containing `point`.
-fn child_of(point: &Vec3, center: &Vec3, half: f64) -> (usize, Vec3) {
-    let quarter = half / 2.0;
-    let mut idx = 0usize;
-    let mut child_center = *center;
-    if point.x >= center.x {
-        idx |= 1;
-        child_center.x += quarter;
-    } else {
-        child_center.x -= quarter;
-    }
-    if point.y >= center.y {
-        idx |= 2;
-        child_center.y += quarter;
-    } else {
-        child_center.y -= quarter;
-    }
-    if point.z >= center.z {
-        idx |= 4;
-        child_center.z += quarter;
-    } else {
-        child_center.z -= quarter;
-    }
-    (idx, child_center)
-}
-
-impl OctoMap {
-    /// Pre-order arena walk pushing every leaf's (centre, log-odds), in the
-    /// exact octant order and with the exact centre arithmetic of the old
-    /// pointer-tree walk (the dedup and golden fixtures depend on both).
-    /// `r` must not be [`NIL`].
-    fn collect_arena(&self, r: u32, center: Vec3, half: f64, out: &mut Vec<(Vec3, f64)>) {
-        if r & LEAF_BIT != 0 {
-            out.push((center, self.leaf_values[(r & !LEAF_BIT) as usize]));
-            return;
-        }
-        let quarter = half / 2.0;
-        for (idx, &child) in self.nodes[r as usize].iter().enumerate() {
-            if child == NIL {
-                continue;
-            }
-            let mut c = center;
-            c.x += if idx & 1 != 0 { quarter } else { -quarter };
-            c.y += if idx & 2 != 0 { quarter } else { -quarter };
-            c.z += if idx & 4 != 0 { quarter } else { -quarter };
-            self.collect_arena(child, c, quarter, out);
-        }
-    }
-
-    /// Logical equality of two subtrees: same shape, same leaf values. The
-    /// arena's *physical* node order depends on creation order, so map
-    /// equality must compare the trees, not the pools.
-    fn subtree_eq(&self, ra: u32, other: &OctoMap, rb: u32) -> bool {
-        match (ra == NIL, rb == NIL) {
-            (true, true) => return true,
-            (true, false) | (false, true) => return false,
-            (false, false) => {}
-        }
-        match (ra & LEAF_BIT != 0, rb & LEAF_BIT != 0) {
-            (true, true) => {
-                self.leaf_values[(ra & !LEAF_BIT) as usize]
-                    == other.leaf_values[(rb & !LEAF_BIT) as usize]
-            }
-            (false, false) => (0..8).all(|i| {
-                self.subtree_eq(
-                    self.nodes[ra as usize][i],
-                    other,
-                    other.nodes[rb as usize][i],
-                )
-            }),
-            _ => false,
-        }
-    }
-
-    /// Logical equality of the block tables: the same known voxels, each
-    /// brick slot naming a leaf with the same log-odds. Brick and leaf-pool
-    /// indices are physical, like the arena's, so they are not compared.
-    fn bricks_eq(&self, other: &OctoMap) -> bool {
-        if self.known_blocks.len() != other.known_blocks.len() {
-            return false;
-        }
-        // mav-lint: allow(DET-HASH-ITER): a conjunction is order-independent
-        self.known_blocks.iter().all(|(key, &a)| {
-            other.known_blocks.get(key).is_some_and(|&b| {
-                let (a, b) = (&self.bricks[a as usize], &other.bricks[b as usize]);
-                a.iter().zip(b).all(|(&la, &lb)| {
-                    (la == NIL) == (lb == NIL)
-                        && (la == NIL
-                            || self.leaf_values[la as usize] == other.leaf_values[lb as usize])
-                })
-            })
-        })
-    }
-}
-
 impl PartialEq for OctoMap {
+    /// Logical equality: the same geometry, counters and indexes, and the
+    /// same observed voxels with the same log-odds. Brick indices are
+    /// physical (creation order), so bricks are matched by block key.
     fn eq(&self, other: &Self) -> bool {
         self.config == other.config
             && self.half_extent == other.half_extent
@@ -1686,8 +1413,14 @@ impl PartialEq for OctoMap {
             && self.occupied_count == other.occupied_count
             && self.occupied_blocks == other.occupied_blocks
             && self.known_leaves == other.known_leaves
-            && self.bricks_eq(other)
-            && self.subtree_eq(self.root, other, other.root)
+            && self.known_blocks.len() == other.known_blocks.len()
+            // mav-lint: allow(DET-HASH-ITER): a conjunction is order-independent
+            && self.known_blocks.iter().all(|(key, &a)| {
+                other
+                    .known_blocks
+                    .get(key)
+                    .is_some_and(|&b| self.bricks[a as usize] == other.bricks[b as usize])
+            })
     }
 }
 
@@ -1707,13 +1440,12 @@ impl fmt::Display for OctoMap {
 mod tests {
     use super::*;
 
-    /// The pre-index query paths: per-voxel tree descents and full tree
-    /// walks. They are the executable specifications the indexed queries,
-    /// the O(1) counters and the free/occupied centre indexes are tested
-    /// against.
+    /// The pre-index query paths and the create/flip-only insertion path:
+    /// the executable specifications the indexed queries and the brick-slot
+    /// fast path are tested against.
     impl OctoMap {
-        /// The pre-index inflation query: one full octree descent per voxel
-        /// of the inflation cube.
+        /// The pre-index inflation query: one point query per voxel of the
+        /// inflation cube.
         fn is_occupied_with_inflation_reference(&self, point: &Vec3, radius: f64) -> bool {
             let r = radius.max(0.0);
             let steps = (r / self.config.resolution).ceil() as i64;
@@ -1736,7 +1468,7 @@ mod tests {
         }
 
         /// The pre-index swept-segment predicate: a point sample every
-        /// half-resolution, each paying a full inflation-cube tree scan.
+        /// half-resolution, each paying a full inflation-cube voxel scan.
         fn segment_free_reference(&self, a: &Vec3, b: &Vec3, radius: f64) -> bool {
             let dist = a.distance(b);
             let step = (self.config.resolution * 0.5).max(0.05);
@@ -1751,44 +1483,8 @@ mod tests {
             true
         }
 
-        /// [`OctoMap::occupied_voxel_count`] recomputed by a full tree walk.
-        /// Caveat inherited from the `collect_leaves` walk: at non-dyadic
-        /// resolutions the walk can merge adjacent leaves whose noisy centres
-        /// round to the same key, so it may run a few voxels *below* the exact
-        /// per-leaf count the collision queries (and the O(1) counter) use;
-        /// at dyadic resolutions the two agree exactly.
-        fn occupied_voxel_count_scan(&self) -> usize {
-            self.collect_leaves()
-                .iter()
-                .filter(|(_, l)| *l > self.config.occupied_threshold)
-                .count()
-        }
-
-        /// [`OctoMap::known_voxel_count`] recomputed by a full tree walk.
-        fn known_voxel_count_scan(&self) -> usize {
-            self.collect_leaves().len()
-        }
-
-        /// [`OctoMap::free_voxel_centers`] recomputed by a full tree walk.
-        fn free_voxel_centers_scan(&self) -> Vec<Vec3> {
-            self.collect_leaves()
-                .into_iter()
-                .filter(|(_, l)| *l <= self.config.occupied_threshold)
-                .map(|(c, _)| c)
-                .collect()
-        }
-
-        /// [`OctoMap::occupied_voxel_centers`] recomputed by a full tree walk.
-        fn occupied_voxel_centers_scan(&self) -> Vec<Vec3> {
-            self.collect_leaves()
-                .into_iter()
-                .filter(|(_, l)| *l > self.config.occupied_threshold)
-                .map(|(c, _)| c)
-                .collect()
-        }
-
         /// [`OctoMap::insert_ray`] without the brick-slot fast path: every
-        /// crossing pays the full descent of [`OctoMap::update_leaf`].
+        /// crossing takes the create/flip path of [`OctoMap::update_leaf`].
         fn insert_ray_by_descent(&mut self, origin: &Vec3, endpoint: &Vec3) {
             let (grid, config, half_extent) = (self.grid, self.config, self.half_extent);
             Self::for_each_ray_update(
@@ -1801,47 +1497,75 @@ mod tests {
             );
         }
 
-        /// Checks the block table against the tree: every non-`NIL` brick
-        /// slot names the full-depth leaf the descent reaches from its
-        /// cell's centre, and every leaf has exactly one slot.
-        fn brick_slots_mismatch(&self) -> Option<String> {
+        /// Checks the bricks against the pointer-octree oracle `tree`: every
+        /// known brick slot holds the log-odds of the leaf the oracle's
+        /// descent reaches from that voxel's centre, and there are as many
+        /// known slots as oracle leaves.
+        fn brick_slots_mismatch(&self, tree: &reference::ReferenceMap) -> Option<String> {
             let mut slots = 0;
             for (&key, &brick) in &self.known_blocks {
                 let block = unpack_voxel_key(key);
-                for (slot, &leaf) in self.bricks[brick as usize].iter().enumerate() {
-                    if leaf == NIL {
+                let brick = &self.bricks[brick as usize];
+                for slot in 0..64 {
+                    if brick.known & (1 << slot) == 0 {
                         continue;
                     }
                     slots += 1;
-                    let slot = slot as i64;
                     let cell = GridIndex::new(
                         block.x * 4 + (slot & 3),
                         block.y * 4 + ((slot >> 2) & 3),
                         block.z * 4 + (slot >> 4),
                     );
-                    let probed = self.probe_leaf(&self.grid.center_of(&cell));
-                    if probed != Some((leaf, true)) {
-                        return Some(format!("{cell:?}: slot {leaf}, descent {probed:?}"));
+                    let value = brick.log_odds[slot as usize];
+                    let leaf = tree.leaf_log_odds(&self.grid.center_of(&cell));
+                    if leaf.map(f64::to_bits) != Some(value.to_bits()) {
+                        return Some(format!("{cell:?}: slot {value}, oracle {leaf:?}"));
                     }
                 }
             }
-            (slots != self.leaf_values.len())
-                .then(|| format!("{slots} slots for {} leaves", self.leaf_values.len()))
+            (slots != tree.leaf_count())
+                .then(|| format!("{slots} slots for {} leaves", tree.leaf_count()))
         }
     }
 
-    /// The pre-arena pointer-chasing octree, kept as a differential oracle:
-    /// every node is a separate heap allocation reached through
-    /// `Vec<Option<Node>>` child pointers, exactly the layout the arena
-    /// replaced. The equivalence proptests drive [`reference::ReferenceMap`]
-    /// and [`OctoMap`] with the same ray sequences and compare per-point
-    /// log-odds and full leaf collections, so any behavioural drift in the
-    /// arena descent shows up as a differential failure rather than a silent
-    /// golden change.
+    /// The pointer-chasing octree the brick map replaced, kept as a
+    /// differential oracle: every node is a separate heap allocation reached
+    /// through `Vec<Option<Node>>` child pointers. The equivalence proptests
+    /// drive [`reference::ReferenceMap`] and [`OctoMap`] with the same ray
+    /// sequences and compare per-point log-odds, full leaf collections and
+    /// the counts and centre lists derived from them, so any behavioural
+    /// drift in the brick map shows up as a differential failure rather
+    /// than a silent golden change.
     mod reference {
-        use crate::octomap::{child_of, OctoMap, OctoMapConfig};
+        use crate::octomap::{OctoMap, OctoMapConfig};
         use mav_types::{GridSpec, Vec3};
         use std::collections::HashMap;
+
+        /// Index (0..8) and centre of the child octant containing `point`.
+        pub fn child_of(point: &Vec3, center: &Vec3, half: f64) -> (usize, Vec3) {
+            let quarter = half / 2.0;
+            let mut idx = 0usize;
+            let mut child_center = *center;
+            if point.x >= center.x {
+                idx |= 1;
+                child_center.x += quarter;
+            } else {
+                child_center.x -= quarter;
+            }
+            if point.y >= center.y {
+                idx |= 2;
+                child_center.y += quarter;
+            } else {
+                child_center.y -= quarter;
+            }
+            if point.z >= center.z {
+                idx |= 4;
+                child_center.z += quarter;
+            } else {
+                child_center.z -= quarter;
+            }
+            (idx, child_center)
+        }
 
         #[derive(Debug, Clone)]
         enum Node {
@@ -1857,8 +1581,8 @@ mod tests {
             }
         }
 
-        /// Pointer-tree occupancy map with the old (pre-arena) update and
-        /// collection logic, reduced to the surface the differential tests need.
+        /// Pointer-tree occupancy map with the original update and collection
+        /// logic, reduced to the surface the differential tests need.
         #[derive(Debug, Clone)]
         pub struct ReferenceMap {
             config: OctoMapConfig,
@@ -1883,7 +1607,8 @@ mod tests {
             }
 
             /// Integrates one sensor ray with the shared ray enumeration, so the
-            /// oracle and the arena can only diverge in their *tree* logic.
+            /// oracle and the brick map can only diverge in their *store*
+            /// logic.
             pub fn insert_ray(&mut self, origin: &Vec3, endpoint: &Vec3) {
                 let (grid, config, half_extent) = (self.grid, self.config, self.half_extent);
                 let clamp = config.clamp;
@@ -2019,10 +1744,8 @@ mod tests {
             /// voxel key (last wins, pre-order walk order) and sorted by
             /// coordinates — the old `collect_leaves` verbatim.
             pub fn collect(&self) -> Vec<(Vec3, f64)> {
-                let mut out = Vec::new();
-                if let Some(root) = &self.root {
-                    Self::collect_recursive(root, Vec3::ZERO, self.half_extent, &mut out);
-                }
+                let out = self.walk();
+
                 let mut dedup: HashMap<(i64, i64, i64), (Vec3, f64)> = HashMap::new();
                 for (c, l) in out {
                     let key = (
@@ -2042,6 +1765,55 @@ mod tests {
                         .then(a.0.z.total_cmp(&b.0.z))
                 });
                 v
+            }
+
+            /// Number of leaves in the tree, before any dedup.
+            pub fn leaf_count(&self) -> usize {
+                self.walk().len()
+            }
+
+            /// [`OctoMap::known_voxel_count`] recomputed by a leaf walk.
+            pub fn known_voxel_count_scan(&self) -> usize {
+                self.collect().len()
+            }
+
+            /// [`OctoMap::occupied_voxel_count`] recomputed by a leaf walk.
+            /// At non-dyadic resolutions the walk's dedup can merge adjacent
+            /// leaves whose noisy centres round to the same key, so it may
+            /// run a few voxels *below* the exact per-voxel count the
+            /// collision queries (and the O(1) counter) use; at dyadic
+            /// resolutions the two agree exactly.
+            pub fn occupied_voxel_count_scan(&self) -> usize {
+                self.occupied_voxel_centers_scan().len()
+            }
+
+            /// [`OctoMap::free_voxel_centers`] recomputed by a leaf walk.
+            pub fn free_voxel_centers_scan(&self) -> Vec<Vec3> {
+                let threshold = self.config.occupied_threshold;
+                self.collect()
+                    .into_iter()
+                    .filter(|&(_, l)| l <= threshold)
+                    .map(|(c, _)| c)
+                    .collect()
+            }
+
+            /// [`OctoMap::occupied_voxel_centers`] recomputed by a leaf walk.
+            pub fn occupied_voxel_centers_scan(&self) -> Vec<Vec3> {
+                let threshold = self.config.occupied_threshold;
+                self.collect()
+                    .into_iter()
+                    .filter(|&(_, l)| l > threshold)
+                    .map(|(c, _)| c)
+                    .collect()
+            }
+
+            /// Every leaf's (centre, log-odds) in pre-order walk order.
+            fn walk(&self) -> Vec<(Vec3, f64)> {
+                let mut out = Vec::new();
+                if let Some(root) = &self.root {
+                    Self::collect_recursive(root, Vec3::ZERO, self.half_extent, &mut out);
+                }
+                out
             }
 
             fn collect_recursive(node: &Node, center: Vec3, half: f64, out: &mut Vec<(Vec3, f64)>) {
@@ -2304,7 +2076,7 @@ mod tests {
         assert_eq!(cloud_map.update_count(), serial.update_count());
         assert_eq!(cloud_map, serial, "cloud insertion changed the map");
         assert_eq!(cloud_map.collect_leaves(), tree.collect());
-        assert_eq!(cloud_map.brick_slots_mismatch(), None);
+        assert_eq!(cloud_map.brick_slots_mismatch(&tree), None);
     }
 
     #[test]
@@ -2379,13 +2151,12 @@ mod tests {
         assert!(!format!("{}", small_map(0.5)).is_empty());
     }
 
-    /// Differential properties pinning the arena rewrite: the flat-`Vec`
-    /// octree, the incremental free-voxel index and the parallel insertion
-    /// path must all be *exact* replacements — bit-identical log-odds, leaf
-    /// sets and counters against the pointer-tree oracle and the serial /
-    /// tree-walk references.
+    /// Differential properties pinning the brick map: the bricks, the
+    /// known-leaf index and the indexed queries must all be *exact*
+    /// replacements — bit-identical log-odds, leaf sets and counters against
+    /// the pointer-tree oracle and the serial / per-voxel references.
     mod equivalence {
-        use super::reference::ReferenceMap;
+        use super::reference::{child_of, ReferenceMap};
         use super::*;
         use proptest::prelude::*;
 
@@ -2406,8 +2177,8 @@ mod tests {
                 .collect()
         }
 
-        /// Builds the arena map and the pointer-tree oracle from the same
-        /// ray sequence.
+        /// Builds the brick map and the pointer-tree oracle from the same ray
+        /// sequence.
         fn paired_maps(res_idx: usize, rays: &[Vec3]) -> (OctoMap, ReferenceMap) {
             let resolution = RESOLUTIONS[res_idx % RESOLUTIONS.len()];
             let config = OctoMapConfig::with_resolution(resolution);
@@ -2424,7 +2195,7 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
-            /// The arena descent produces the same leaves (same centres, same
+            /// The brick map holds the same leaves (same centres, same
             /// log-odds bits) and answers point probes exactly like the
             /// pointer tree, including through a reresolve → insert chain.
             #[test]
@@ -2456,35 +2227,35 @@ mod tests {
                 }
             }
 
-            /// The incremental free-voxel index returns bit-identical centres
-            /// (same order, same f64 bits) as the full-tree-walk scan, and
-            /// the O(1) counters match their scans, through insertion and
-            /// reresolution.
+            /// The known-leaf index returns bit-identical free centres (same
+            /// order, same f64 bits) as the oracle's leaf walk, and the O(1)
+            /// counters match its scans, through insertion and reresolution.
             #[test]
             fn free_voxel_index_matches_tree_walk(
                 res_idx in 0usize..RESOLUTIONS.len(),
                 rays in proptest::collection::vec(arb_point(20.0), 1..32),
                 new_res_idx in 0usize..RESOLUTIONS.len(),
             ) {
-                let (mut arena, _) = paired_maps(res_idx, &rays);
+                let (mut arena, mut tree) = paired_maps(res_idx, &rays);
                 // The occupied counter may overcount the deduplicated scan
                 // at non-dyadic resolutions (rounded-key collisions merge
                 // scan leaves) — the seed suite pins "never undercounts",
                 // so that is the exact relation asserted here too.
                 prop_assert_eq!(
                     center_bits(&arena.free_voxel_centers()),
-                    center_bits(&arena.free_voxel_centers_scan())
+                    center_bits(&tree.free_voxel_centers_scan())
                 );
-                prop_assert_eq!(arena.known_voxel_count(), arena.known_voxel_count_scan());
-                prop_assert!(arena.occupied_voxel_count() >= arena.occupied_voxel_count_scan());
+                prop_assert_eq!(arena.known_voxel_count(), tree.known_voxel_count_scan());
+                prop_assert!(arena.occupied_voxel_count() >= tree.occupied_voxel_count_scan());
                 let new_res = RESOLUTIONS[new_res_idx % RESOLUTIONS.len()];
                 arena = arena.reresolved(new_res).unwrap();
+                tree = tree.reresolved(new_res);
                 prop_assert_eq!(
                     center_bits(&arena.free_voxel_centers()),
-                    center_bits(&arena.free_voxel_centers_scan())
+                    center_bits(&tree.free_voxel_centers_scan())
                 );
-                prop_assert_eq!(arena.known_voxel_count(), arena.known_voxel_count_scan());
-                prop_assert!(arena.occupied_voxel_count() >= arena.occupied_voxel_count_scan());
+                prop_assert_eq!(arena.known_voxel_count(), tree.known_voxel_count_scan());
+                prop_assert!(arena.occupied_voxel_count() >= tree.occupied_voxel_count_scan());
             }
 
             /// The known-block-bitmask frontier predicate agrees with the
@@ -2521,20 +2292,16 @@ mod tests {
             }
 
             /// The block-bitmask-backed `occupied_voxel_centers` agrees with
-            /// the tree walk bit-for-bit at dyadic resolutions (where leaf
-            /// centres are exactly representable grid centres).
+            /// the oracle's leaf walk bit-for-bit at dyadic resolutions
+            /// (where leaf centres are exactly representable grid centres).
             #[test]
             fn occupied_centers_match_tree_walk_at_dyadic_resolution(
                 dyadic in 0usize..2,
                 rays in proptest::collection::vec(arb_point(20.0), 1..32),
             ) {
-                let resolution = [0.25, 0.5][dyadic];
-                let mut map = OctoMap::new(OctoMapConfig::with_resolution(resolution), 24.0);
-                let origin = Vec3::new(0.0, 0.0, 1.5);
-                for endpoint in &rays {
-                    map.insert_ray(&origin, endpoint);
-                }
-                prop_assert_eq!(map.occupied_voxel_centers(), map.occupied_voxel_centers_scan());
+                // 0.25 m and 0.5 m.
+                let (map, tree) = paired_maps([1, 3][dyadic], &rays);
+                prop_assert_eq!(map.occupied_voxel_centers(), tree.occupied_voxel_centers_scan());
             }
 
             /// The indexed inflation query, and the blocking voxel it
@@ -2551,15 +2318,18 @@ mod tests {
                 queries in proptest::collection::vec(arb_point(24.0), 1..24),
                 radius in 0.0f64..2.5,
             ) {
-                let (mut map, _) = paired_maps(res_idx, &before);
+                let (mut map, mut tree) = paired_maps(res_idx, &before);
                 for round in 0..2 {
                     if round == 1 {
-                        map = map.reresolved(RESOLUTIONS[new_res_idx % RESOLUTIONS.len()]).unwrap();
+                        let new_res = RESOLUTIONS[new_res_idx % RESOLUTIONS.len()];
+                        map = map.reresolved(new_res).unwrap();
+                        tree = tree.reresolved(new_res);
                         let origin = Vec3::new(0.0, 0.0, 1.5);
                         for endpoint in &after {
                             map.insert_ray(&origin, endpoint);
+                            tree.insert_ray(&origin, endpoint);
                         }
-                        prop_assert_eq!(map.known_voxel_count(), map.known_voxel_count_scan());
+                        prop_assert_eq!(map.known_voxel_count(), tree.known_voxel_count_scan());
                     }
                     for q in &queries {
                         let reference = map.is_occupied_with_inflation_reference(q, radius);
@@ -2645,25 +2415,42 @@ mod tests {
                 prop_assert_eq!(reused.free_voxel_centers(), fresh.free_voxel_centers());
             }
 
-            /// Parallel scan insertion is bit-identical to the serial path at
-            /// every thread count: same logical tree, same indexes, same
-            /// counters, same free-voxel centres.
+            /// `locate` replays the pointer-tree descent at any domain size:
+            /// the same centre bits and DFS rank, and the grid cell of that
+            /// centre — also for points exactly on voxel boundaries and for
+            /// voxel centres of the 0.8 m grid, which `reresolved` inserts.
             #[test]
-            fn parallel_insertion_bit_identical_across_thread_counts(
-                res_idx in 0usize..RESOLUTIONS.len(),
-                points in proptest::collection::vec(arb_point(20.0), 1..48),
+            fn locate_matches_the_descent(
+                res_idx in 0usize..6,
+                extent in 1.0f64..200.0,
+                points in proptest::collection::vec(
+                    (-1.0f64..1.0, -1.0f64..1.0, -1.0f64..1.0, 0usize..3),
+                    1..32,
+                ),
             ) {
-                let resolution = RESOLUTIONS[res_idx % RESOLUTIONS.len()];
-                let config = OctoMapConfig::with_resolution(resolution);
-                let cloud = PointCloud::new(Vec3::new(0.0, 0.0, 1.5), points);
-                let mut serial = OctoMap::new(config, 24.0);
-                serial.insert_point_cloud(&cloud);
-                for threads in [1usize, 2, 3, 8] {
-                    let mut parallel = OctoMap::new(config, 24.0);
-                    parallel.insert_point_cloud_parallel(&cloud, threads);
-                    prop_assert_eq!(&parallel, &serial, "diverged at {} threads", threads);
-                    prop_assert_eq!(parallel.update_count(), serial.update_count());
-                    prop_assert_eq!(parallel.free_voxel_centers(), serial.free_voxel_centers());
+                let resolution = [0.15, 0.25, 0.3, 0.5, 0.65, 0.8][res_idx];
+                let map = OctoMap::new(OctoMapConfig::with_resolution(resolution), extent);
+                // kind 1 snaps to this grid's voxel boundaries, kind 2 to
+                // 0.8 m voxel centres.
+                let snap = |v: f64, kind: usize| match kind {
+                    1 => (v / resolution).round() * resolution,
+                    2 => ((v / 0.8).floor() + 0.5) * 0.8,
+                    _ => v,
+                };
+                for &(x, y, z, kind) in &points {
+                    let h = map.half_extent;
+                    let p = Vec3::new(snap(x * h, kind), snap(y * h, kind), snap(z * h, kind));
+                    let (cell, center, rank) = map.locate(&p);
+                    let (mut c, mut half, mut r) = (Vec3::ZERO, h, 0u64);
+                    for _ in 0..map.depth {
+                        let (octant, next) = child_of(&p, &c, half);
+                        r = r << 3 | octant as u64;
+                        c = next;
+                        half /= 2.0;
+                    }
+                    prop_assert_eq!(center_bits(&[center]), center_bits(&[c]), "at {}", p);
+                    prop_assert_eq!(rank, r, "at {}", p);
+                    prop_assert_eq!(cell, map.grid.index_of(&c), "at {}", p);
                 }
             }
 
@@ -2671,8 +2458,8 @@ mod tests {
             /// voxels drive leaves across the occupancy threshold both ways,
             /// so crossings alternate between the brick-slot fast path and
             /// the flip fallback. The map must match the pointer-tree oracle
-            /// leaf for leaf and a descent-only map exactly, and after every
-            /// ray each brick slot must name the leaf the descent reaches.
+            /// leaf for leaf and a create/flip-only map exactly, and after
+            /// every ray each brick slot must hold the oracle leaf's value.
             #[test]
             fn warm_map_flips_match_reference(
                 res_idx in 0usize..RESOLUTIONS.len(),
@@ -2689,7 +2476,7 @@ mod tests {
                     descent.insert_ray_by_descent(&origin, endpoint);
                     tree.insert_ray(&origin, endpoint);
                     prop_assert_eq!(arena.occupied_voxel_count(), descent.occupied_voxel_count());
-                    prop_assert_eq!(arena.brick_slots_mismatch(), None);
+                    prop_assert_eq!(arena.brick_slots_mismatch(&tree), None);
                     Ok(())
                 };
                 for &(hits, misses) in &bursts {
@@ -2717,21 +2504,25 @@ mod tests {
                 );
                 prop_assert_eq!(
                     center_bits(&arena.free_voxel_centers()),
-                    center_bits(&arena.free_voxel_centers_scan())
+                    center_bits(&tree.free_voxel_centers_scan())
                 );
             }
         }
 
-        /// The O(1) counters match the full tree walk on a deterministic
+        /// The O(1) counters match the oracle's leaf walk on a deterministic
         /// dyadic-resolution scenario covering rays, a dense scan into the
         /// warm map and the dynamic-resolution rebuild.
         #[test]
         fn counters_match_tree_walk() {
-            let mut map = OctoMap::new(OctoMapConfig::with_resolution(0.5), 32.0);
+            let config = OctoMapConfig::with_resolution(0.5);
+            let mut map = OctoMap::new(config, 32.0);
+            let mut tree = ReferenceMap::new(config, 32.0);
             let origin = Vec3::new(0.0, 0.0, 1.0);
             for i in -12..=12 {
                 for z in [0.5, 1.0, 1.5, 2.0] {
-                    map.insert_ray(&origin, &Vec3::new(10.0, i as f64 * 0.5, z));
+                    let endpoint = Vec3::new(10.0, i as f64 * 0.5, z);
+                    map.insert_ray(&origin, &endpoint);
+                    tree.insert_ray(&origin, &endpoint);
                 }
             }
             // A dense scan: most of its crossings revisit existing leaves.
@@ -2741,9 +2532,13 @@ mod tests {
                     points.push(Vec3::new(12.0, iy as f64 * 0.25, iz as f64 * 0.3));
                 }
             }
+            for endpoint in &points {
+                tree.insert_ray(&origin, endpoint);
+            }
             map.insert_point_cloud(&PointCloud::new(origin, points));
-            assert_eq!(map.known_voxel_count(), map.known_voxel_count_scan());
-            assert_eq!(map.occupied_voxel_count(), map.occupied_voxel_count_scan());
+            assert_eq!(map.known_voxel_count(), tree.known_voxel_count_scan());
+            assert_eq!(map.occupied_voxel_count(), tree.occupied_voxel_count_scan());
+            assert_eq!(map.brick_slots_mismatch(&tree), None);
             // Query equivalence holds on a scan-built map too.
             for (a, b) in [
                 (Vec3::new(-5.0, -8.0, 1.0), Vec3::new(14.0, 8.0, 2.0)),
@@ -2758,11 +2553,16 @@ mod tests {
             assert!(map.known_voxel_count() > map.occupied_voxel_count());
 
             let coarse = map.reresolved(1.0).unwrap();
-            assert_eq!(coarse.known_voxel_count(), coarse.known_voxel_count_scan());
+            let coarse_tree = tree.reresolved(1.0);
+            assert_eq!(
+                coarse.known_voxel_count(),
+                coarse_tree.known_voxel_count_scan()
+            );
             assert_eq!(
                 coarse.occupied_voxel_count(),
-                coarse.occupied_voxel_count_scan()
+                coarse_tree.occupied_voxel_count_scan()
             );
+            assert_eq!(coarse.brick_slots_mismatch(&coarse_tree), None);
 
             let empty = OctoMap::new(OctoMapConfig::default(), 32.0);
             assert_eq!(empty.known_voxel_count(), 0);

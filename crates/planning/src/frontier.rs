@@ -127,9 +127,9 @@ impl FrontierExplorer {
                 if center.z < self.config.min_altitude || center.z > self.config.max_altitude {
                     continue;
                 }
-                // Six hash-indexed bit tests against the known-voxel block
-                // index — decision-identical to probing `center ± resolution`
-                // per axis with `is_unknown`, minus six octree descents.
+                // Six hash-indexed bit tests against the map's bricks —
+                // decision-identical to probing `center ± resolution` per
+                // axis with `is_unknown`.
                 if map.has_unknown_neighbor6(&center) {
                     scratch.points.push(center);
                 }

@@ -3,8 +3,9 @@
 //! The build environment has no crates.io access, so the server speaks just
 //! enough HTTP for its JSON job API: request line, headers, `Content-Length`
 //! bodies, keep-alive. No chunked encoding, no TLS, no pipelining beyond the
-//! sequential keep-alive loop. Anything malformed gets a JSON error response
-//! and the connection is closed.
+//! sequential keep-alive loop. Lines are capped at 8 KiB and requests at 100
+//! headers. Anything malformed gets a JSON error response and the connection
+//! is closed.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -12,6 +13,14 @@ use std::net::TcpStream;
 /// Largest accepted request body. Job specs are small JSON documents; this
 /// bound keeps a misbehaving client from ballooning server memory.
 pub const MAX_BODY_BYTES: usize = 1 << 20;
+
+/// Longest accepted request line or header line, line ending included. A
+/// client that never sends a newline is cut off here instead of growing the
+/// line buffer without limit.
+const MAX_LINE_BYTES: u64 = 8 * 1024;
+
+/// Most header lines accepted in one request.
+const MAX_HEADERS: usize = 100;
 
 /// One parsed request.
 #[derive(Debug, Clone)]
@@ -40,14 +49,33 @@ pub enum ReadError {
     Io(std::io::Error),
 }
 
+/// Reads one line of at most [`MAX_LINE_BYTES`] bytes; `None` at end of
+/// stream. A longer line or one that is not UTF-8 is malformed.
+fn read_line(reader: &mut BufReader<TcpStream>) -> Result<Option<String>, ReadError> {
+    let mut bytes = Vec::new();
+    let n = reader
+        .by_ref()
+        .take(MAX_LINE_BYTES)
+        .read_until(b'\n', &mut bytes)
+        .map_err(ReadError::Io)?;
+    if n == 0 {
+        return Ok(None);
+    }
+    if n as u64 == MAX_LINE_BYTES && !bytes.ends_with(b"\n") {
+        return Err(ReadError::Malformed(format!(
+            "line longer than {MAX_LINE_BYTES} bytes"
+        )));
+    }
+    String::from_utf8(bytes)
+        .map(Some)
+        .map_err(|_| ReadError::Malformed("line is not UTF-8".into()))
+}
+
 /// Reads one request from a buffered connection.
 pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, ReadError> {
-    let mut line = String::new();
-    match reader.read_line(&mut line) {
-        Ok(0) => return Err(ReadError::Closed),
-        Ok(_) => {}
-        Err(e) => return Err(ReadError::Io(e)),
-    }
+    let Some(line) = read_line(reader)? else {
+        return Err(ReadError::Closed);
+    };
     let mut parts = line.split_whitespace();
     let method = parts
         .next()
@@ -68,16 +96,20 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, ReadEr
     let mut content_length = 0usize;
     // HTTP/1.1 defaults to keep-alive; `Connection: close` opts out.
     let mut keep_alive = !version.starts_with("HTTP/1.0");
+    let mut headers = 0;
     loop {
-        let mut header = String::new();
-        match reader.read_line(&mut header) {
-            Ok(0) => return Err(ReadError::Malformed("connection closed mid-headers".into())),
-            Ok(_) => {}
-            Err(e) => return Err(ReadError::Io(e)),
-        }
+        let Some(header) = read_line(reader)? else {
+            return Err(ReadError::Malformed("connection closed mid-headers".into()));
+        };
         let header = header.trim_end();
         if header.is_empty() {
             break;
+        }
+        headers += 1;
+        if headers > MAX_HEADERS {
+            return Err(ReadError::Malformed(format!(
+                "more than {MAX_HEADERS} headers"
+            )));
         }
         let Some((name, value)) = header.split_once(':') else {
             return Err(ReadError::Malformed(format!("malformed header `{header}`")));
@@ -241,6 +273,40 @@ mod tests {
             MAX_BODY_BYTES + 1
         );
         assert!(matches!(parse(&huge), Err(ReadError::TooLarge(_))));
+    }
+
+    #[test]
+    fn an_over_long_request_line_is_malformed() {
+        let target = "a".repeat(MAX_LINE_BYTES as usize);
+        let raw = format!("GET /{target} HTTP/1.1\r\n\r\n");
+        assert!(matches!(parse(&raw), Err(ReadError::Malformed(_))));
+        // A client that never ends its line is cut off at the bound too.
+        let raw = "G".repeat(2 * MAX_LINE_BYTES as usize);
+        assert!(matches!(parse(&raw), Err(ReadError::Malformed(_))));
+    }
+
+    #[test]
+    fn an_over_long_header_is_malformed() {
+        // A header line of exactly the bound, line ending included, fits.
+        let value = "v".repeat(MAX_LINE_BYTES as usize - "x-long: \r\n".len());
+        let raw = format!("GET /jobs HTTP/1.1\r\nx-long: {value}\r\n\r\n");
+        assert!(parse(&raw).is_ok());
+        let value = "v".repeat(MAX_LINE_BYTES as usize);
+        let raw = format!("GET /jobs HTTP/1.1\r\nx-long: {value}\r\n\r\n");
+        assert!(matches!(parse(&raw), Err(ReadError::Malformed(_))));
+    }
+
+    #[test]
+    fn too_many_headers_are_malformed() {
+        let headers = |n: usize| {
+            let lines: String = (0..n).map(|i| format!("x-h{i}: {i}\r\n")).collect();
+            format!("GET /jobs HTTP/1.1\r\n{lines}\r\n")
+        };
+        assert!(parse(&headers(MAX_HEADERS)).is_ok());
+        assert!(matches!(
+            parse(&headers(MAX_HEADERS + 1)),
+            Err(ReadError::Malformed(_))
+        ));
     }
 
     #[test]

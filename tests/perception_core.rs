@@ -1,7 +1,7 @@
 //! Equivalence suite for the data-oriented perception core, from the public
 //! API: parallel scan insertion must build maps bit-identical to the serial
 //! path at every thread count, and Fig. 18's dense scans must keep their
-//! update and known-voxel counts. The arena-vs-pointer-tree and
+//! update and known-voxel counts. The brick-map-vs-pointer-tree and
 //! index-vs-tree-walk properties need the crate's test-only oracles, so they
 //! live in `mav-perception`'s own `octomap` tests.
 
